@@ -83,7 +83,7 @@ struct Scenario {
 std::vector<Scenario> make_scenarios(bool quick) {
   std::vector<Scenario> out;
 
-  {  // bench_table1: the paper's banking mix, all six methods.
+  {  // Table 1: the paper's banking mix, all six methods.
     Scenario s;
     s.name = "banking";
     s.cfg.branches = 2;

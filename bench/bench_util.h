@@ -103,14 +103,6 @@ inline ExecutorReport run_local(const Workload& w, MethodConfig method,
   return report;
 }
 
-inline void print_header(const char* title) {
-  std::printf("\n=== %s ===\n%s\n", title, ExecutorReport::header().c_str());
-}
-
-inline void print_row(const ExecutorReport& r) {
-  std::printf("%s\n", r.row().c_str());
-}
-
 /// All six Table-1 configurations (baselines + the paper's three methods).
 inline std::vector<MethodConfig> table1_methods() {
   return {MethodConfig::baseline_sr(), MethodConfig::baseline_dc(),

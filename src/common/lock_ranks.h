@@ -108,8 +108,6 @@ enum class LockRank : std::uint16_t {
   kWalGroup = 205,
   /// LogDevice::mu_ — WAL append serialization.
   kWal = 210,
-  /// HistoryRecorder::mu_ — certifier event log.
-  kHistory = 220,
   /// AdmissionController::mu_ — epsilon-class admission ledger.
   kAdmission = 230,
   /// SimNetwork Inbox::mu — per-site delivery queue ("inbox then state").
@@ -156,7 +154,6 @@ enum class LockRank : std::uint16_t {
     case LockRank::kTxnCharge: return "kTxnCharge";
     case LockRank::kWalGroup: return "kWalGroup";
     case LockRank::kWal: return "kWal";
-    case LockRank::kHistory: return "kHistory";
     case LockRank::kAdmission: return "kAdmission";
     case LockRank::kNetInbox: return "kNetInbox";
     case LockRank::kNetState: return "kNetState";

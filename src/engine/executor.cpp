@@ -55,12 +55,10 @@ std::string ExecutorReport::row() const {
 }
 
 DatabaseOptions Executor::database_options(const MethodConfig& method,
-                                           std::chrono::milliseconds timeout,
-                                           bool record_history) {
+                                           std::chrono::milliseconds timeout) {
   DatabaseOptions opts;
   opts.scheduler = method.sched;
   opts.lock_timeout = timeout;
-  opts.record_history = record_history;
   return opts;
 }
 
@@ -96,8 +94,6 @@ ExecutorReport Executor::run(Database& db, const ExecutionPlan& plan,
   Rng seeder(opts.seed);
 
   const std::size_t workers = std::max<std::size_t>(1, opts.workers);
-  const std::size_t batch_size =
-      opts.dequeue_batch > 0 ? opts.dequeue_batch : kDequeueBatch;
 
   // Round-robin partition keeps each worker's slice spread across the whole
   // stream (a contiguous split would serialize the workload's phases).
@@ -149,12 +145,12 @@ ExecutorReport Executor::run(Database& db, const ExecutionPlan& plan,
                          opts.commit_wait);
       Rng& rng = worker_rngs[w];
       std::vector<std::size_t> batch;
-      batch.reserve(batch_size);
+      batch.reserve(kDequeueBatch);
 
       auto dequeue_own = [&] {
         WorkerQueue& wq = *queues[w];
         std::lock_guard lock(wq.mu);
-        while (batch.size() < batch_size && !wq.q.empty()) {
+        while (batch.size() < kDequeueBatch && !wq.q.empty()) {
           batch.push_back(wq.q.front());
           wq.q.pop_front();
         }
@@ -166,7 +162,7 @@ ExecutorReport Executor::run(Database& db, const ExecutionPlan& plan,
         // Take at most half the victim's remainder (leave it work) and at
         // most one batch, from the back -- opposite end from the owner.
         std::size_t take =
-            std::min(batch_size, (wq.q.size() + 1) / 2);
+            std::min(kDequeueBatch, (wq.q.size() + 1) / 2);
         while (take-- > 0 && !wq.q.empty()) {
           batch.push_back(wq.q.back());
           wq.q.pop_back();

@@ -38,8 +38,6 @@ struct ExecutorOptions {
   /// Run independent sibling pieces on parallel threads (Figure 2's
   /// Schedule(S, ...) "for all p in S in parallel").
   bool parallel_pieces = false;
-  /// Transactions a worker claims per dequeue/steal (0 = default).
-  std::size_t dequeue_batch = 0;
   /// Commit durability mode for every transaction the run begins (WAL-backed
   /// databases only; ignored without a WAL).  kAsync measures the
   /// group-commit fast path: success at append, durability at the next
@@ -65,14 +63,14 @@ struct ExecutorReport {
   StatSummary txn_fuzziness;  ///< restricted-piece Z_t of committed txns
   StatSummary query_error;    ///< |observed - ground truth| for audit queries
 
-  /// One aligned table row (pair with print_header()).
+  /// One aligned table row (pair with header()).
   [[nodiscard]] std::string row() const;
   [[nodiscard]] static std::string header();
 };
 
 class Executor {
  public:
-  /// Default batch size for dequeue and steal.  Small enough that stealing
+  /// Batch size for dequeue and steal.  Small enough that stealing
   /// rebalances a skewed tail, large enough to amortize queue mutexes.
   static constexpr std::size_t kDequeueBatch = 8;
 
@@ -87,8 +85,7 @@ class Executor {
   /// Convenience: DatabaseOptions matching a method.
   [[nodiscard]] static DatabaseOptions database_options(
       const MethodConfig& method,
-      std::chrono::milliseconds lock_timeout = std::chrono::milliseconds(2000),
-      bool record_history = false);
+      std::chrono::milliseconds lock_timeout = std::chrono::milliseconds(2000));
 };
 
 }  // namespace atp

@@ -5,14 +5,9 @@
 
 namespace atp {
 
-LockManager::LockManager(std::chrono::milliseconds default_timeout,
-                         std::size_t stripes)
+LockManager::LockManager(std::chrono::milliseconds default_timeout)
     : timeout_(default_timeout) {
-  const std::size_t n = std::max<std::size_t>(1, stripes);
-  stripes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
+  for (auto& sp : stripes_) sp = std::make_unique<Stripe>();
 }
 
 Status LockManager::acquire(TxnId txn, Key key, LockMode mode,
@@ -272,7 +267,7 @@ LockStats LockManager::stats() const {
 
 std::vector<LockStripeSnapshot> LockManager::stripe_stats() const {
   std::vector<LockStripeSnapshot> out;
-  out.reserve(stripes_.size());
+  out.reserve(kStripes);
   for (const auto& sp : stripes_) {
     LockStripeSnapshot snap;
     {

@@ -34,6 +34,7 @@
 // induced outside this lock manager).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -129,14 +130,13 @@ struct LockStripeSnapshot {
 
 class LockManager {
  public:
-  /// Default stripe count: enough that a handful of workers rarely collide
-  /// on stripe mutexes for uniformly-hashed keys, small enough that
+  /// Stripe count: enough that a handful of workers rarely collide on
+  /// stripe mutexes for uniformly-hashed keys, small enough that
   /// release_all's full-stripe sweep stays cheap.
-  static constexpr std::size_t kDefaultStripes = 16;
+  static constexpr std::size_t kStripes = 16;
 
   explicit LockManager(std::chrono::milliseconds default_timeout =
-                           std::chrono::milliseconds(2000),
-                       std::size_t stripes = kDefaultStripes);
+                           std::chrono::milliseconds(2000));
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
 
@@ -161,10 +161,6 @@ class LockManager {
   /// Per-stripe counters + sampled acquire latency, in stripe order -- the
   /// obs layer renders this as the contention heatmap.
   [[nodiscard]] std::vector<LockStripeSnapshot> stripe_stats() const;
-
-  [[nodiscard]] std::size_t stripe_count() const noexcept {
-    return stripes_.size();
-  }
 
   void set_timeout(std::chrono::milliseconds t) { timeout_ = t; }
 
@@ -229,7 +225,7 @@ class LockManager {
   [[nodiscard]] Stripe& stripe_of(Key key) const noexcept {
     // Multiplicative hash: workload keys are clustered (branch*1e6 + index),
     // so identity % N would put whole branches on few stripes.
-    return *stripes_[(key * 0x9E3779B97F4A7C15ULL >> 32) % stripes_.size()];
+    return *stripes_[(key * 0x9E3779B97F4A7C15ULL >> 32) % kStripes];
   }
 
   enum class Decision { Granted, Blocked };
@@ -251,7 +247,7 @@ class LockManager {
   void grant(TxnId txn, Key key, LockMode mode, bool fuzzy, Stripe& s,
              Queue& q);
 
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  std::array<std::unique_ptr<Stripe>, kStripes> stripes_;
 
   // Global waits-for graph for cross-stripe deadlock detection.  Lock order:
   // any stripe mutex, then wait_mu_.  Values are snapshots of each blocked

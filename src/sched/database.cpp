@@ -131,11 +131,8 @@ void collect_db_samples(const EtRegistry& registry, const LockManager& locks,
 
 Database::Database(DatabaseOptions opts)
     : opts_(opts),
-      locks_(opts.lock_timeout, opts.lock_stripes > 0
-                                    ? opts.lock_stripes
-                                    : LockManager::kDefaultStripes),
+      locks_(opts.lock_timeout),
       dc_resolver_(registry_, store_) {
-  history_.set_enabled(opts.record_history);
   locks_.set_trace(opts.tracer, opts.site_id);
   registry_.set_trace(opts.tracer, opts.site_id);
   if (opts_.wal != nullptr) {
@@ -363,7 +360,6 @@ Result<Value> Txn::read(Key key) {
     Result<VersionRead> v = db_->store_.read_latest_versioned(key);
     if (!v.ok()) return v.status();
     read_log_.emplace_back(key, v.value().value);
-    db_->history_.record(id_, OpType::Read, key, v.value().value);
     Tracer::emit(db_->opts_.tracer, TraceKind::Read, db_->opts_.site_id, id_,
                  key, v.value().value, 0, v.value().seq + 1);
     return v.value().value;
@@ -379,7 +375,6 @@ Result<Value> Txn::read(Key key) {
             ? db_->dc_resolver_.read_fresh(id_, key, snapshot_, dc_charged_)
             : db_->store_.read_snapshot(key, snapshot_);
     if (!v.ok()) return v.status();
-    db_->history_.record(id_, OpType::Read, key, v.value().value);
     Tracer::emit(db_->opts_.tracer, TraceKind::Read, db_->opts_.site_id, id_,
                  key, v.value().value, 0, v.value().seq + 1);
     return v.value().value;
@@ -393,7 +388,6 @@ Result<Value> Txn::read(Key key) {
   if (db_->store_.dirty_writer(key) == std::optional<TxnId>(id_)) {
     Result<Value> v = db_->store_.read_latest(key);
     if (v.ok()) {
-      db_->history_.record(id_, OpType::Read, key, v.value());
       Tracer::emit(db_->opts_.tracer, TraceKind::Read, db_->opts_.site_id,
                    id_, key, v.value(), 0, ~std::uint64_t{0});
     }
@@ -401,7 +395,6 @@ Result<Value> Txn::read(Key key) {
   }
   Result<VersionRead> v = db_->store_.read_latest_versioned(key);
   if (!v.ok()) return v.status();
-  db_->history_.record(id_, OpType::Read, key, v.value().value);
   Tracer::emit(db_->opts_.tracer, TraceKind::Read, db_->opts_.site_id, id_,
                key, v.value().value, 0, v.value().seq + 1);
   return v.value().value;
@@ -422,7 +415,6 @@ Status Txn::write(Key key, Value value) {
   Status w = db_->store_.write(id_, key, value);
   if (!w.ok()) return w;
   write_set_.insert(key);
-  db_->history_.record(id_, OpType::Write, key, value);
   Tracer::emit(db_->opts_.tracer, TraceKind::Write, db_->opts_.site_id, id_,
                key, value);
   return Status::Ok();
@@ -448,7 +440,6 @@ Status Txn::add(Key key, Value delta) {
     Result<VersionRead> vr = db_->store_.read_latest_versioned(key);
     if (vr.ok()) read_aux = vr.value().seq + 1;
   }
-  db_->history_.record(id_, OpType::Read, key, old_latest.value());
   Tracer::emit(db_->opts_.tracer, TraceKind::Read, db_->opts_.site_id, id_,
                key, old_latest.value(), 0, read_aux);
   // Delegate to write() for the staged write.  The X lock is already held,
@@ -536,7 +527,6 @@ Status Txn::commit() {
   abort_hooks_.clear();
   final_fuzziness_ = db_->registry_.end_commit(id_);
   if (db_->commit_counter_ != nullptr) db_->commit_counter_->add();
-  db_->history_.mark_committed(id_);
   release_snapshot();
   db_->locks_.release_all(id_);
   state_ = State::Committed;

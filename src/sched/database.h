@@ -34,7 +34,6 @@
 #include "lock/lock_manager.h"
 #include "obs/metrics_registry.h"
 #include "sched/dc_resolver.h"
-#include "sched/history.h"
 #include "storage/store.h"
 #include "trace/tracer.h"
 #include "txn/epsilon.h"
@@ -73,9 +72,6 @@ inline const char* to_string(SchedulerKind k) noexcept {
 struct DatabaseOptions {
   SchedulerKind scheduler = SchedulerKind::CC;
   std::chrono::milliseconds lock_timeout{2000};
-  /// Stripe count of the sharded lock table (see LockManager); 0 = default.
-  std::size_t lock_stripes = 0;
-  bool record_history = false;
   /// Optional write-ahead log.  When set, commits append after-images + a
   /// commit record before applying (redo-only, no-steal discipline) and a
   /// GroupCommitter batches the commit fsyncs: sync commits wait for the
@@ -255,7 +251,6 @@ class Database {
   }
   EtRegistry& registry() noexcept { return registry_; }
   LockManager& locks() noexcept { return locks_; }
-  HistoryRecorder& history() noexcept { return history_; }
   Tracer* tracer() const noexcept { return opts_.tracer; }
   [[nodiscard]] SiteId site_id() const noexcept { return opts_.site_id; }
 
@@ -306,7 +301,6 @@ class Database {
   Store store_;
   LockManager locks_;
   EtRegistry registry_;
-  HistoryRecorder history_;
   NeverFuzzyResolver cc_resolver_;
   DcResolver dc_resolver_;
   std::unique_ptr<GroupCommitter> group_;  // iff opts_.wal != nullptr

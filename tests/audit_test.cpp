@@ -240,22 +240,31 @@ ExecutorReport traced_run(const Workload& w, const MethodConfig& method,
 }
 
 TEST(AuditOracle, StrictTwoPhaseLockingRunCertifiesSr) {
-  // baseline_sr = unchopped + pure CC: both the piece-level and the merged
-  // (original-transaction) graphs must be acyclic.
-  Tracer tracer(1 << 18);
-  const Workload w = small_banking(21);
-  const auto report = traced_run(w, MethodConfig::baseline_sr(), tracer);
-  EXPECT_EQ(report.committed + report.rolled_back, w.instances.size());
+  // baseline_sr = unchopped + pure CC, sr_chop_cc = SR-chopping + pure CC:
+  // both the piece-level and the merged (original-transaction) graphs must
+  // be acyclic -- for sr_chop_cc that is Theorem 1 (an SC-cycle-free
+  // chopping is serializable with respect to the original transactions).
+  for (const MethodConfig method :
+       {MethodConfig::baseline_sr(), MethodConfig::sr_chop_cc()}) {
+    Tracer tracer(1 << 18);
+    const Workload w = small_banking(21);
+    const auto report = traced_run(w, method, tracer);
+    EXPECT_EQ(report.committed + report.rolled_back, w.instances.size());
 
-  const auto events = tracer.collect();
-  const SrReport piece_level = certify_sr(events, nullptr, tracer.dropped());
-  EXPECT_TRUE(piece_level.complete);
-  EXPECT_TRUE(piece_level.serializable) << piece_level.describe();
-  EXPECT_GT(piece_level.committed_txns, 0u);
+    const auto events = tracer.collect();
+    const SrReport piece_level =
+        certify_sr(events, nullptr, tracer.dropped());
+    EXPECT_TRUE(piece_level.complete) << method.name();
+    EXPECT_TRUE(piece_level.serializable)
+        << method.name() << ": " << piece_level.describe();
+    EXPECT_GT(piece_level.committed_txns, 0u);
 
-  const auto merge = piece_merge_map(events);
-  const SrReport merged = certify_sr(events, &merge, tracer.dropped());
-  EXPECT_TRUE(merged.serializable) << merged.describe();
+    const auto merge = piece_merge_map(events);
+    const SrReport merged = certify_sr(events, &merge, tracer.dropped());
+    EXPECT_TRUE(merged.complete) << method.name();
+    EXPECT_TRUE(merged.serializable)
+        << method.name() << ": " << merged.describe();
+  }
 }
 
 TEST(AuditOracle, EsrChoppedCcRunCertifiesSrPerPiece) {

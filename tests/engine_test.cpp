@@ -134,7 +134,7 @@ class PieceRunnerTest : public ::testing::Test {
     db_.load(Y, 1000);
   }
   Database db_{DatabaseOptions{SchedulerKind::DC,
-                               std::chrono::milliseconds(500), false}};
+                               std::chrono::milliseconds(500)}};
   Rng rng_{42};
 };
 
@@ -280,28 +280,6 @@ TEST(ExecutorParallelPieces, FanOutExecutionCommitsAndConserves) {
     Value sum = 0;
     for (const auto& [k, v] : db.store().snapshot_committed()) sum += v;
     EXPECT_EQ(sum, w.total_money) << "parallel=" << parallel;
-  }
-}
-
-TEST(ExecutorHistory, CcMethodsProduceSerializableHistories) {
-  BankingConfig cfg;
-  cfg.branches = 2;
-  cfg.accounts_per_branch = 8;
-  cfg.global_audit_fraction = 0.1;
-  const Workload w = make_banking(cfg, 60, 3);
-  for (const MethodConfig method :
-       {MethodConfig::baseline_sr(), MethodConfig::sr_chop_cc()}) {
-    auto plan = ExecutionPlan::build(w.types, method);
-    ASSERT_TRUE(plan.ok());
-    Database db(Executor::database_options(
-        method, std::chrono::milliseconds(2000), /*record_history=*/true));
-    w.load_into(db);
-    ExecutorOptions opts;
-    opts.workers = 4;
-    const auto report = Executor::run(db, plan.value(), w.instances, opts);
-    EXPECT_GT(report.committed, 0u);
-    // Piece-level serializability always holds under CC.
-    EXPECT_TRUE(db.history().committed_projection_serializable());
   }
 }
 

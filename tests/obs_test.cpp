@@ -274,7 +274,7 @@ TEST(DatabaseObs, PublishesEpsAndLockSamples) {
       << "the query imported fuzziness; retirement must roll it up";
   ASSERT_NE(snap.find("lock.stripes"), nullptr);
   const auto stripes = std::size_t(snap.find("lock.stripes")->value);
-  EXPECT_EQ(stripes, LockManager::kDefaultStripes);
+  EXPECT_EQ(stripes, LockManager::kStripes);
   double total_acquires = 0;
   for (std::size_t i = 0; i < stripes; ++i) {
     const Sample* s =

@@ -156,14 +156,14 @@ TEST(OrderedLock, CondvarWaitReacquisitionKeepsBookkeeping) {
 TEST(OrderedLock, TwoThreadCycleWitnessNamesBothSites) {
   CheckerFixture fix;
   atp::OrderedMutex<LockRank::kWal> wal;
-  atp::OrderedMutex<LockRank::kHistory> history;
+  atp::OrderedMutex<LockRank::kAdmission> admission;
 
-  // Thread 1 nests legally (wal -> history), feeding that edge's sites.
+  // Thread 1 nests legally (wal -> admission), feeding that edge's sites.
   // Direct lock() calls so the recorded sites are these very lines.
   std::thread legal([&] {
     wal.lock();
-    history.lock();
-    history.unlock();
+    admission.lock();
+    admission.unlock();
     wal.unlock();
   });
   legal.join();
@@ -171,21 +171,21 @@ TEST(OrderedLock, TwoThreadCycleWitnessNamesBothSites) {
   // Thread 2 nests the other way; the attempt is detected, recorded, and
   // abandoned -- so the test never actually deadlocks.
   std::thread inverted([&] {
-    history.lock();
+    admission.lock();
     try {
       wal.lock();
       wal.unlock();
     } catch (const LockOrderViolation&) {
     }
-    history.unlock();
+    admission.unlock();
   });
   inverted.join();
 
   const std::vector<Edge> cycle = find_cycle();
   ASSERT_EQ(cycle.size(), 2u) << cycle_witness(cycle);
   const std::string witness = cycle_witness(cycle);
-  EXPECT_NE(witness.find("kWal -> kHistory"), std::string::npos) << witness;
-  EXPECT_NE(witness.find("kHistory -> kWal"), std::string::npos) << witness;
+  EXPECT_NE(witness.find("kWal -> kAdmission"), std::string::npos) << witness;
+  EXPECT_NE(witness.find("kAdmission -> kWal"), std::string::npos) << witness;
   // Both threads' acquisition sites are named, i.e. this file four times.
   std::size_t mentions = 0, pos = 0;
   while ((pos = witness.find("ordered_lock_test.cpp", pos)) !=

@@ -1,4 +1,4 @@
-// Strict-2PL concurrency control behaviour + the history oracle.
+// Strict-2PL concurrency control behaviour, certified from the trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -6,19 +6,21 @@
 #include <thread>
 #include <vector>
 
+#include "audit/sr_certifier.h"
 #include "common/rng.h"
 #include "sched/database.h"
+#include "trace/tracer.h"
 
 namespace atp {
 namespace {
 
 using namespace std::chrono_literals;
 
-DatabaseOptions cc_options(bool history = false) {
+DatabaseOptions cc_options(Tracer* tracer = nullptr) {
   DatabaseOptions o;
   o.scheduler = SchedulerKind::CC;
   o.lock_timeout = std::chrono::milliseconds(500);
-  o.record_history = history;
+  o.tracer = tracer;
   return o;
 }
 
@@ -142,7 +144,8 @@ TEST(CcTxn, WriteConflictDeadlockVictimCanRetry) {
 }
 
 TEST(CcHistory, RecordsCommittedProjection) {
-  Database db(cc_options(/*history=*/true));
+  Tracer tracer;
+  Database db(cc_options(&tracer));
   db.load(1, 100);
   Txn t = db.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(t.add(1, 1).ok());
@@ -150,48 +153,17 @@ TEST(CcHistory, RecordsCommittedProjection) {
   Txn a = db.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(a.add(1, 1).ok());
   a.abort();
-  const auto events = db.history().events();
+  const auto events = tracer.collect();
   EXPECT_FALSE(events.empty());
-  EXPECT_EQ(db.history().committed().size(), 1u);
-  EXPECT_TRUE(db.history().committed_projection_serializable());
-}
-
-TEST(CcHistory, DetectsNonSerializableInterleaving) {
-  // Hand-build a classic lost-update style anomaly to prove the checker has
-  // teeth: r1(x) r2(x) w1(x) w2(x) with both committed.
-  HistoryRecorder h;
-  h.set_enabled(true);
-  h.record(1, OpType::Read, 1, 0);
-  h.record(2, OpType::Read, 1, 0);
-  h.record(1, OpType::Write, 1, 1);
-  h.record(2, OpType::Write, 1, 2);
-  h.mark_committed(1);
-  h.mark_committed(2);
-  EXPECT_FALSE(h.committed_projection_serializable());
-}
-
-TEST(CcHistory, MergeByParentChecksOriginalGranularity) {
-  // Pieces p1 (txn A) and p2 (txn A) interleaved with B such that pieces are
-  // serializable but the merged original transactions are not:
-  //   w_p1(x) r_B(x) r_B(y) w_p2(y)  with A = {p1, p2}.
-  HistoryRecorder h;
-  h.set_enabled(true);
-  h.record(10, OpType::Write, 1, 1);  // p1 writes x
-  h.record(30, OpType::Read, 1, 1);   // B reads x (after p1)
-  h.record(30, OpType::Read, 2, 0);   // B reads y (before p2)
-  h.record(20, OpType::Write, 2, 1);  // p2 writes y
-  h.mark_committed(10);
-  h.mark_committed(20);
-  h.mark_committed(30);
-  // Piece-level: p1 -> B -> p2, acyclic.
-  EXPECT_TRUE(h.committed_projection_serializable());
-  // Original-transaction level: A -> B and B -> A, cyclic.
-  std::unordered_map<TxnId, TxnId> parent{{10, 100}, {20, 100}};
-  EXPECT_FALSE(h.committed_projection_serializable(&parent));
+  const SrReport sr = certify_sr(events, nullptr, tracer.dropped());
+  EXPECT_TRUE(sr.complete);
+  EXPECT_EQ(sr.committed_txns, 1u);
+  EXPECT_TRUE(sr.serializable) << sr.describe();
 }
 
 TEST(CcConcurrent, RandomTransfersAreSerializableAndConserveMoney) {
-  Database db(cc_options(/*history=*/true));
+  Tracer tracer;
+  Database db(cc_options(&tracer));
   constexpr int kAccounts = 16;
   constexpr Value kInitial = 1000;
   for (int i = 0; i < kAccounts; ++i) db.load(i, kInitial);
@@ -222,7 +194,9 @@ TEST(CcConcurrent, RandomTransfersAreSerializableAndConserveMoney) {
   for (const auto& [k, v] : db.store().snapshot_committed()) sum += v;
   EXPECT_EQ(sum, kInitial * kAccounts);
   // And the committed history is conflict-serializable.
-  EXPECT_TRUE(db.history().committed_projection_serializable());
+  const SrReport sr = certify_sr(tracer.collect(), nullptr, tracer.dropped());
+  EXPECT_TRUE(sr.complete);
+  EXPECT_TRUE(sr.serializable) << sr.describe();
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Component micro-benchmarks (google-benchmark): the building blocks whose
-// costs underlie the system-level numbers -- lock acquisition, fuzziness
-// charging, chopping-graph analysis, and the finest-chopping searches.
+// costs underlie the system-level numbers -- lock acquisition and release,
+// the ET registry round trip, a WAL-backed sync commit, chopping-graph
+// analysis, and the finest-chopping searches.
 //
 // The obs group doubles as the instrumentation-overhead experiment: build
 // once with -DATP_OBS=ON and once with OFF and compare
@@ -15,6 +16,7 @@
 #include "obs/metrics_registry.h"
 #include "sched/database.h"
 #include "txn/registry.h"
+#include "wal/log.h"
 #include "workload/banking.h"
 
 namespace atp {
@@ -42,15 +44,67 @@ void BM_LockSharedReentrant(benchmark::State& state) {
 }
 BENCHMARK(BM_LockSharedReentrant);
 
-void BM_RegistryChargePair(benchmark::State& state) {
-  EtRegistry reg;
-  const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::unlimited());
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::unlimited());
+void BM_ReleaseAll(benchmark::State& state) {
+  // An update ET that X-locks two keys and releases at commit.  Arg 1
+  // releases through the ET's touched-stripe mask (two stripes visited),
+  // arg 0 through kAllStripes (the full sixteen-stripe sweep), so the
+  // difference is what the mask saves per ET.
+  LockManager locks;
+  NeverFuzzyResolver cc;
+  const Key a = 1, b = 2;
+  const LockManager::StripeMask mask =
+      state.range(0) != 0
+          ? LockManager::StripeMask(LockManager::stripe_bit(a) |
+                                    LockManager::stripe_bit(b))
+          : LockManager::kAllStripes;
+  TxnId txn = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.try_charge_pair(q, u, 1.0));
+    (void)locks.acquire(txn, a, LockMode::Exclusive, cc);
+    (void)locks.acquire(txn, b, LockMode::Exclusive, cc);
+    locks.release_all(txn, mask);
+    ++txn;
   }
 }
-BENCHMARK(BM_RegistryChargePair);
+BENCHMARK(BM_ReleaseAll)->ArgName("touched_only")->Arg(0)->Arg(1);
+
+void BM_RegistryBeginEndCommit(benchmark::State& state) {
+  // One ET's registry round trip: register at begin, retire at commit.
+  // Each thread's ETs land on shards by id, so threads rarely meet on a
+  // shard mutex.
+  static EtRegistry reg;
+  for (auto _ : state) {
+    const TxnId id = reg.begin(TxnKind::Update, EpsilonSpec::exporting(10));
+    benchmark::DoNotOptimize(reg.end_commit(id));
+  }
+}
+BENCHMARK(BM_RegistryBeginEndCommit)->Threads(1)->Threads(4);
+
+void BM_SyncCommitWithWal(benchmark::State& state) {
+  // A one-key update ET committed with CommitWait::kSync through the WAL
+  // and the group committer (zero simulated fsync latency), each thread on
+  // its own key: the shared commit path without lock contention.
+  static LogDevice wal;
+  static Database db([] {
+    DatabaseOptions o;
+    o.wal = &wal;
+    return o;
+  }());
+  const Key key = Key(state.thread_index()) + 1;
+  if (state.thread_index() == 0) {
+    for (Key k = 1; k <= Key(state.threads()); ++k) db.load(k, 0);
+  }
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    Txn t = db.begin(TxnKind::Update, EpsilonSpec::serializable());
+    (void)t.add(key, 1);
+    benchmark::DoNotOptimize(t.commit());
+    // Keep the in-memory log small: drop what is already durable.
+    if (state.thread_index() == 0 && ++n % 4096 == 0) {
+      wal.truncate_before(wal.durable_lsn());
+    }
+  }
+}
+BENCHMARK(BM_SyncCommitWithWal)->Threads(1)->Threads(4);
 
 void BM_TxnCommitCycle(benchmark::State& state) {
   Database db(DatabaseOptions{});

@@ -88,18 +88,22 @@ void OnlineCertifier::pump() {
 }
 
 void OnlineCertifier::pump_locked(bool final_pass) {
-  TraceSubscription::Batch batch = sub_->drain();
-  if (batch.dropped > 0) {
-    stats_.dropped_events = batch.dropped;
+  // batch_ is reused across pumps: at engine rate a drain holds tens of
+  // thousands of events, and a fresh vector each pump would leave the pump
+  // thread's allocator holding the high-water mark of every size.
+  sub_->drain(batch_);
+  if (batch_.dropped > 0) {
+    stats_.dropped_events = batch_.dropped;
     stats_.degraded = true;
   }
 
-  // Merge the batch into the reorder buffer (both already seq-sorted).
+  // Merge the batch into the reorder buffer (both already seq-sorted).  An
+  // empty buffer trades storage with the batch, so both keep capacity.
   if (buffer_.empty()) {
-    buffer_ = std::move(batch.events);
-  } else if (!batch.events.empty()) {
+    buffer_.swap(batch_.events);
+  } else if (!batch_.events.empty()) {
     const std::size_t mid = buffer_.size();
-    buffer_.insert(buffer_.end(), batch.events.begin(), batch.events.end());
+    buffer_.insert(buffer_.end(), batch_.events.begin(), batch_.events.end());
     std::inplace_merge(buffer_.begin(), buffer_.begin() + mid, buffer_.end(),
                        [](const TraceEvent& x, const TraceEvent& y) {
                          return x.seq < y.seq;
@@ -111,7 +115,7 @@ void OnlineCertifier::pump_locked(bool final_pass) {
   // pass (recorders quiesced) consumes everything.
   std::size_t n = 0;
   while (n < buffer_.size() &&
-         (final_pass || buffer_[n].seq < batch.stable_before)) {
+         (final_pass || buffer_[n].seq < batch_.stable_before)) {
     process_event(buffer_[n]);
     ++n;
   }

@@ -254,6 +254,7 @@ class OnlineCertifier {
   Tracer& tracer_;
   const OnlineCertifierOptions opts_;
   std::unique_ptr<TraceSubscription> sub_;  // pump thread only (under mu_)
+  TraceSubscription::Batch batch_;  ///< drain target, reused across pumps
 
   mutable OrderedMutex<LockRank::kOnlineCert> mu_;  // rank kOnlineCert: window state; obs collector reads stats under it
   std::unordered_map<AuditNode, TxnState> txns_;    ///< live + window

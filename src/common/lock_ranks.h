@@ -29,7 +29,7 @@
 //   queue endpoint -> wal append / net send                      (100<210/240)
 //   lock stripe    -> waits-for graph                            (140<150)
 //   lock stripe    -> store commit / store / registry / tracer   (140<165+)
-//   txn struct     -> txn charge ("struct then charge")          (190<200)
+//   txn shard      -> txn charge ("shard then charge")           (190<200)
 //   net inbox      -> net state ("inbox then state")             (240<250)
 //   trace registry -> trace ring (record and collect paths)      (270<280)
 #pragma once
@@ -98,15 +98,19 @@ enum class LockRank : std::uint16_t {
   kStoreMap = 170,
   /// Store per-cell stripes_ — value mutation under a held map lock.
   kStoreStripe = 180,
-  /// EtRegistry::struct_mu_ — ET table structure ("struct_mu_ (shared) then
-  /// charge_mu_").
+  /// EtRegistry Shard::mu — the 16 ET-registry shards' table structure
+  /// ("a shard's mu (shared) then charge_mu_").  All shards share this
+  /// rank, so no path ever holds two of them: bulk reads visit the shards
+  /// one at a time.
   kTxnStruct = 190,
   /// EtRegistry::charge_mu_ — epsilon charge serialization.
   kTxnCharge = 200,
   /// GroupCommitter::mu_ — flush-leader election + durable-LSN waiters; the
-  /// leader reads the log's durable frontier (rank kWal) while holding it.
+  /// leader runs the device fsync (rank kWal) after releasing it.  Sync
+  /// commits already covered by a flush never take it.
   kWalGroup = 205,
-  /// LogDevice::mu_ — WAL append serialization.
+  /// LogDevice::mu_ — WAL append serialization; one acquisition per commit
+  /// (append_txn).  The durable frontier is an atomic read outside it.
   kWal = 210,
   /// AdmissionController::mu_ — epsilon-class admission ledger.
   kAdmission = 230,

@@ -195,14 +195,16 @@ void LockManager::grant(TxnId txn, Key key, LockMode mode, bool fuzzy,
     }
   }
   q.holders.push_back(LockHolder{txn, mode, fuzzy});
-  s.held_keys[txn].insert(key);
+  s.held_keys[txn].push_back(key);
 }
 
-void LockManager::release_all(TxnId txn) {
+void LockManager::release_all(TxnId txn, StripeMask stripes) {
   bool held_anything = false;
-  for (auto& sp : stripes_) {
-    Stripe& s = *sp;
+  for (std::size_t i = 0; i < kStripes; ++i) {
+    if ((stripes & (StripeMask{1} << i)) == 0) continue;
+    Stripe& s = *stripes_[i];
     std::lock_guard lock(s.mu);
+    ++s.releases;
     bool touched = false;
     auto held = s.held_keys.find(txn);
     if (held != s.held_keys.end()) {
@@ -275,6 +277,7 @@ std::vector<LockStripeSnapshot> LockManager::stripe_stats() const {
       snap.stats = sp->stats;
       snap.waiters_now = sp->waiting.size();
       snap.max_waiters = sp->max_waiters;
+      snap.releases = sp->releases;
     }
     // Read outside the stripe mutex: both are self-consistent on their own
     // (relaxed atomic / histogram-internal lock), and the heatmap does not

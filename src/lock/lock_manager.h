@@ -123,6 +123,7 @@ struct LockStats {
 struct LockStripeSnapshot {
   LockStats stats;
   std::uint64_t acquires = 0;     ///< acquire() calls routed to this stripe
+  std::uint64_t releases = 0;     ///< release_all() visits to this stripe
   std::uint64_t waiters_now = 0;  ///< transactions blocked right now
   std::uint64_t max_waiters = 0;  ///< high-water mark of concurrent waiters
   StatSummary acquire_us;         ///< sampled end-to-end acquire latency
@@ -131,9 +132,26 @@ struct LockStripeSnapshot {
 class LockManager {
  public:
   /// Stripe count: enough that a handful of workers rarely collide on
-  /// stripe mutexes for uniformly-hashed keys, small enough that
-  /// release_all's full-stripe sweep stays cheap.
+  /// stripe mutexes for uniformly-hashed keys, and exactly as many as a
+  /// StripeMask has bits, so a transaction can name every stripe it locked
+  /// in and release_all visits only those.
   static constexpr std::size_t kStripes = 16;
+
+  /// Set of stripes, bit i = stripe i.  A caller records
+  /// stripe_bit(key) before each acquire and hands the union to
+  /// release_all (see Txn).
+  using StripeMask = std::uint16_t;
+  static_assert(kStripes <= 8 * sizeof(StripeMask));
+  static constexpr StripeMask kAllStripes = StripeMask(~StripeMask{0});
+
+  [[nodiscard]] static constexpr std::size_t stripe_index(Key key) noexcept {
+    // Multiplicative hash: workload keys are clustered (branch*1e6 + index),
+    // so identity % N would put whole branches on few stripes.
+    return (key * 0x9E3779B97F4A7C15ULL >> 32) % kStripes;
+  }
+  [[nodiscard]] static constexpr StripeMask stripe_bit(Key key) noexcept {
+    return StripeMask(StripeMask{1} << stripe_index(key));
+  }
 
   explicit LockManager(std::chrono::milliseconds default_timeout =
                            std::chrono::milliseconds(2000));
@@ -147,7 +165,11 @@ class LockManager {
   Status acquire(TxnId txn, Key key, LockMode mode, ConflictResolver& resolver);
 
   /// Release every lock txn holds and cancel any pending wait.  Idempotent.
-  void release_all(TxnId txn);
+  /// Only the stripes in `stripes` are visited: it must include every
+  /// stripe txn ever called acquire() in (a pending wait's stripe
+  /// included), which is what lets a transaction that locked in two
+  /// stripes -- or none, like a snapshot query -- skip the other fourteen.
+  void release_all(TxnId txn, StripeMask stripes = kAllStripes);
 
   /// Does txn hold at least `mode` on key?
   [[nodiscard]] bool holds(TxnId txn, Key key, LockMode mode) const;
@@ -195,12 +217,15 @@ class LockManager {
     mutable OrderedMutex<LockRank::kLockStripe> mu;  ///< rank kLockStripe: taken before waits-for/delta/store/txn locks
     OrderedCondVar cv;
     std::unordered_map<Key, Queue> queues;
-    std::unordered_map<TxnId, std::unordered_set<Key>> held_keys;
+    // Keys each transaction holds here, in grant order.  A transaction
+    // holds a handful of keys per stripe, so a vector beats a node set.
+    std::unordered_map<TxnId, std::vector<Key>> held_keys;
     // One outstanding request per txn at a time (the piece runner
     // guarantees it), so at most one entry per txn across ALL stripes.
     std::unordered_map<TxnId, Waiter*> waiting;
     LockStats stats;
     std::uint64_t max_waiters = 0;  // guarded by mu (updated when queueing)
+    std::uint64_t releases = 0;     // guarded by mu (release_all visits)
     // Observability: total acquires (relaxed atomic -- also the sampling
     // clock for the latency histogram, bumped after the stripe mutex is
     // released) and the sampled end-to-end acquire latency.
@@ -223,9 +248,7 @@ class LockManager {
                       ConflictResolver& resolver, Stripe& s);
 
   [[nodiscard]] Stripe& stripe_of(Key key) const noexcept {
-    // Multiplicative hash: workload keys are clustered (branch*1e6 + index),
-    // so identity % N would put whole branches on few stripes.
-    return *stripes_[(key * 0x9E3779B97F4A7C15ULL >> 32) % kStripes];
+    return *stripes_[stripe_index(key)];
   }
 
   enum class Decision { Granted, Blocked };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <ranges>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -325,6 +326,7 @@ Txn& Txn::operator=(Txn&& other) noexcept {
   has_snapshot_ = other.has_snapshot_;
   dc_charged_ = std::move(other.dc_charged_);
   write_set_ = std::move(other.write_set_);
+  lock_stripes_ = other.lock_stripes_;
   read_log_ = std::move(other.read_log_);
   commit_hooks_ = std::move(other.commit_hooks_);
   abort_hooks_ = std::move(other.abort_hooks_);
@@ -380,6 +382,7 @@ Result<Value> Txn::read(Key key) {
     return v.value().value;
   }
   // Update ET: S lock, strict 2PL among updates.
+  lock_stripes_ |= LockManager::stripe_bit(key);
   Status s = db_->locks_.acquire(id_, key, LockMode::Shared, db_->resolver());
   if (!s.ok()) return s;
   // Holding S excludes every foreign writer, so a dirty value here can only
@@ -409,12 +412,19 @@ Status Txn::write(Key key, Value value) {
   // read versions.  No divergence is exported at write time -- a query that
   // wants to see past our commit pays from its own import budget when it
   // reads (DcResolver::read_fresh), priced off version timestamps.
+  lock_stripes_ |= LockManager::stripe_bit(key);
   Status s =
       db_->locks_.acquire(id_, key, LockMode::Exclusive, db_->resolver());
   if (!s.ok()) return s;
   Status w = db_->store_.write(id_, key, value);
   if (!w.ok()) return w;
-  write_set_.insert(key);
+  auto staged = std::find_if(write_set_.begin(), write_set_.end(),
+                             [key](const auto& kv) { return kv.first == key; });
+  if (staged == write_set_.end()) {
+    write_set_.emplace_back(key, value);
+  } else {
+    staged->second = value;
+  }
   Tracer::emit(db_->opts_.tracer, TraceKind::Write, db_->opts_.site_id, id_,
                key, value);
   return Status::Ok();
@@ -426,6 +436,7 @@ Status Txn::add(Key key, Value delta) {
   if (kind_ != TxnKind::Update)
     return Status::InvalidArgument("query ETs are read-only");
 
+  lock_stripes_ |= LockManager::stripe_bit(key);
   Status s =
       db_->locks_.acquire(id_, key, LockMode::Exclusive, db_->resolver());
   if (!s.ok()) return s;
@@ -481,25 +492,15 @@ Status Txn::commit() {
     }
   }
   // Write-ahead discipline: after-images + the commit record are appended
-  // before any effect applies, and durability is a GROUP affair.  A sync
-  // commit waits until the flush leader's fsync covers its commit record;
-  // an async commit reports success now and is covered by the next flush
-  // (a crash in the window loses it -- the contract the caller chose).
-  // Queue enqueue/consume records were staged earlier, tagged with this
-  // txn id; the commit record is what activates them at recovery.
+  // (one device append, contiguous LSNs, commit record last) before any
+  // effect applies, and durability is a GROUP affair.  A sync commit waits
+  // until the flush leader's fsync covers its commit record; an async
+  // commit reports success now and is covered by the next flush (a crash
+  // in the window loses it -- the contract the caller chose).  Queue
+  // enqueue/consume records were staged earlier, tagged with this txn id;
+  // the commit record is what activates them at recovery.
   if (LogDevice* wal = db_->opts_.wal; wal != nullptr) {
-    for (Key k : write_set_) {
-      LogRecord r;
-      r.type = LogRecordType::kWrite;
-      r.txn = id_;
-      r.key = k;
-      r.value = db_->store_.read_latest(k).value_or(0);
-      wal->append(std::move(r));
-    }
-    LogRecord c;
-    c.type = LogRecordType::kCommit;
-    c.txn = id_;
-    commit_lsn_ = wal->append(std::move(c));
+    commit_lsn_ = wal->append_txn(id_, write_set_, LogRecordType::kCommit);
     if (topts_.wait == CommitWait::kSync) {
       db_->group_->wait_durable(commit_lsn_, id_);
     } else {
@@ -512,10 +513,11 @@ Status Txn::commit() {
   // certifiers replay against.
   const Value z = db_->registry_.fuzziness_of(id_);
   if (!write_set_.empty()) {
-    db_->store_.commit_publish(id_, write_set_, [&](std::uint64_t seq) {
-      Tracer::emit(db_->opts_.tracer, TraceKind::TxnCommit, db_->opts_.site_id,
-                   id_, 0, z, 0, seq);
-    });
+    db_->store_.commit_publish(
+        id_, std::views::keys(write_set_), [&](std::uint64_t seq) {
+          Tracer::emit(db_->opts_.tracer, TraceKind::TxnCommit,
+                       db_->opts_.site_id, id_, 0, z, 0, seq);
+        });
   } else {
     Tracer::emit(db_->opts_.tracer, TraceKind::TxnCommit, db_->opts_.site_id,
                  id_, 0, z);
@@ -528,7 +530,7 @@ Status Txn::commit() {
   final_fuzziness_ = db_->registry_.end_commit(id_);
   if (db_->commit_counter_ != nullptr) db_->commit_counter_->add();
   release_snapshot();
-  db_->locks_.release_all(id_);
+  db_->locks_.release_all(id_, lock_stripes_);
   state_ = State::Committed;
   return Status::Ok();
 }
@@ -537,19 +539,8 @@ void Txn::log_prepare() {
   if (state_ != State::Active) return;
   LogDevice* wal = db_->opts_.wal;
   if (wal == nullptr) return;
-  std::uint64_t last = 0;
-  for (Key k : write_set_) {
-    LogRecord r;
-    r.type = LogRecordType::kWrite;
-    r.txn = id_;
-    r.key = k;
-    r.value = db_->store_.read_latest(k).value_or(0);
-    last = wal->append(std::move(r));
-  }
-  LogRecord p;
-  p.type = LogRecordType::kPrepare;
-  p.txn = id_;
-  last = wal->append(std::move(p));
+  const std::uint64_t last =
+      wal->append_txn(id_, write_set_, LogRecordType::kPrepare);
   // The vote must be stable before it is cast; prepares batch through the
   // group committer like any other force point.
   db_->group_->wait_durable(last, id_);
@@ -563,7 +554,7 @@ void Txn::abort() {
     a.txn = id_;
     wal->append(std::move(a));
   }
-  for (Key k : write_set_) db_->store_.abort_key(id_, k);
+  for (Key k : std::views::keys(write_set_)) db_->store_.abort_key(id_, k);
   for (auto& hook : abort_hooks_) hook();
   commit_hooks_.clear();
   abort_hooks_.clear();
@@ -572,7 +563,7 @@ void Txn::abort() {
   Tracer::emit(db_->opts_.tracer, TraceKind::TxnAbort, db_->opts_.site_id,
                id_);
   release_snapshot();
-  db_->locks_.release_all(id_);
+  db_->locks_.release_all(id_, lock_stripes_);
   state_ = State::Aborted;
 }
 

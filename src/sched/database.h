@@ -216,7 +216,13 @@ class Txn {
   bool has_snapshot_ = false;
   /// DC only: divergence already imported per key (see DcResolver).
   std::unordered_map<Key, Value> dc_charged_;
-  std::unordered_set<Key> write_set_;
+  /// Staged writes as (key, after-image), one entry per key in first-write
+  /// order.  An ET writes a handful of keys, so a linear scan on rewrite
+  /// beats a hash set, and commit logs the after-images straight from here.
+  std::vector<std::pair<Key, Value>> write_set_;
+  /// Lock-table stripes this ET ever requested a lock in (bit set before
+  /// each acquire): commit/abort release only those stripes.
+  LockManager::StripeMask lock_stripes_ = 0;
   /// Optimistic read log: (key, value observed).  Validated at commit.
   std::vector<std::pair<Key, Value>> read_log_;
   std::vector<std::function<void()>> commit_hooks_;

@@ -58,8 +58,15 @@ void AtpServer::stop() {
   // callers is UB, so a second stop() blocks here until the first finishes
   // and then sees stopping_ already set.
   std::lock_guard stop_lock(stop_mu_);
-  if (stopping_.exchange(true)) return;
-  queue_cv_.notify_all();
+  {
+    // Set the flag and notify under queue_mu_: a worker that has checked
+    // its wait predicate but not yet blocked holds queue_mu_, so it either
+    // sees stopping_ or is already waiting when notify_all runs.  Setting
+    // it outside the lock loses that wakeup and join() hangs.
+    std::lock_guard queue_lock(queue_mu_);
+    if (stopping_.exchange(true)) return;
+    queue_cv_.notify_all();
+  }
   if (poll_thread_.joinable()) poll_thread_.join();
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();

@@ -178,8 +178,8 @@ TraceSubscription::TraceSubscription(const Tracer& tracer) : tracer_(tracer) {
   }
 }
 
-TraceSubscription::Batch TraceSubscription::drain() {
-  Batch batch;
+void TraceSubscription::drain(Batch& batch) {
+  batch.events.clear();
   // The horizon is read BEFORE any ring lock: seq tickets are issued inside
   // ring critical sections (see record()), so after the sweep below every
   // event numbered under this reading has been copied out, consumed earlier,
@@ -215,7 +215,6 @@ TraceSubscription::Batch TraceSubscription::drain() {
               return x.seq < y.seq;
             });
   batch.dropped = dropped_;
-  return batch;
 }
 
 }  // namespace atp

@@ -133,9 +133,12 @@ class TraceSubscription {
                                       ///< subscription (overwrites + clears)
   };
 
-  /// Collect everything new.  One short lock per ring; never blocks a
-  /// recorder for longer than one slot copy.
-  [[nodiscard]] Batch drain();
+  /// Collect everything new into `batch`, replacing its contents.  The
+  /// event vector is cleared, not freed, so a consumer that reuses one
+  /// Batch across drains allocates only when a drain outgrows all earlier
+  /// ones.  One short lock per ring; never blocks a recorder for longer
+  /// than one slot copy.
+  void drain(Batch& batch);
 
  private:
   friend class Tracer;

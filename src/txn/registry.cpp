@@ -12,10 +12,10 @@ namespace atp {
 // cannot sink below them nor the data stores hoist above; lock-free readers
 // go through epoch_consistent(), which pairs an acquire fence with an
 // even-epoch recheck, so a torn read is detected and retried, never used.
-// (2) ChargeCounters telemetry cells are mutated under charge_mu_ or
-// struct_mu_ and read as statistics where torn totals are tolerated.
-// (3) next_id_ tickets need the RMW's atomicity only (uniqueness, not
-// ordering).
+// (2) ChargeCounters and per-shard Retired telemetry cells are mutated under
+// charge_mu_ or a shard's exclusive mu and read as statistics where torn
+// totals are tolerated.  (3) next_id_ tickets need the RMW's atomicity only
+// (uniqueness, not ordering).
 
 namespace {
 /// Relaxed add on an atomic<double> telemetry cell (mutations are already
@@ -30,133 +30,22 @@ inline void stat_inc(std::atomic<std::uint64_t>& cell) {
 
 TxnId EtRegistry::begin(TxnKind kind, EpsilonSpec spec, TxnId parent) {
   const TxnId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  auto slot = std::make_unique<Slot>();
-  slot->id = id;
-  slot->kind = kind;
-  slot->parent = parent;
-  slot->import_limit.store(spec.import_limit, std::memory_order_relaxed);
-  slot->export_limit.store(spec.export_limit, std::memory_order_relaxed);
-  std::unique_lock lock(struct_mu_);
-  live_.emplace(id, std::move(slot));
+  Shard& sh = shard_of(id);
+  std::unique_lock lock(sh.mu);
+  Slot& slot = sh.live.try_emplace(id).first->second;
+  slot.id = id;
+  slot.kind = kind;
+  slot.parent = parent;
+  slot.import_limit.store(spec.import_limit, std::memory_order_relaxed);
+  slot.export_limit.store(spec.export_limit, std::memory_order_relaxed);
   return id;
-}
-
-bool EtRegistry::try_charge_pair(TxnId query_et, TxnId update_et,
-                                 Value amount) {
-  if (amount < 0) return false;
-  std::shared_lock slock(struct_mu_);
-  Slot* q = find(query_et);
-  Slot* u = find(update_et);
-  if (!q || !u) return false;
-  std::lock_guard clock(charge_mu_);
-  const Value q_imp = q->imported.load(std::memory_order_relaxed);
-  const Value u_exp = u->exported.load(std::memory_order_relaxed);
-  const Value q_lim = q->import_limit.load(std::memory_order_relaxed);
-  const Value u_lim = u->export_limit.load(std::memory_order_relaxed);
-  if (q_imp + amount > q_lim) {
-    stat_inc(charge_counters_.rejected_import);
-    return false;
-  }
-  if (u_exp + amount > u_lim) {
-    stat_inc(charge_counters_.rejected_export);
-    return false;
-  }
-  write_begin();
-  q->imported.store(q_imp + amount, std::memory_order_relaxed);
-  u->exported.store(u_exp + amount, std::memory_order_relaxed);
-  write_end();
-  stat_inc(charge_counters_.charges_ok);
-  stat_add(charge_counters_.import_charged, amount);
-  stat_add(charge_counters_.export_charged, amount);
-  Tracer::emit(tracer_, TraceKind::FuzzImport, site_, query_et, 0, amount,
-               q_lim, 0, update_et);
-  Tracer::emit(tracer_, TraceKind::FuzzExport, site_, update_et, 0, amount,
-               u_lim, 0, query_et);
-  return true;
-}
-
-bool EtRegistry::try_charge_multi(std::span<const TxnId> queries,
-                                  TxnId update_et, Value amount) {
-  if (amount < 0) return false;
-  if (amount == 0) return true;
-  std::shared_lock slock(struct_mu_);
-  Slot* u = find(update_et);
-  if (!u) return false;
-
-  std::vector<Slot*> qs;
-  qs.reserve(queries.size());
-  for (TxnId q : queries) {
-    Slot* s = find(q);
-    if (!s) continue;  // ended query: lock gone or going
-    qs.push_back(s);
-  }
-  std::lock_guard clock(charge_mu_);
-  const Value u_exp = u->exported.load(std::memory_order_relaxed);
-  const Value u_lim = u->export_limit.load(std::memory_order_relaxed);
-  if (u_exp + amount * double(qs.size()) > u_lim) {
-    stat_inc(charge_counters_.rejected_export);
-    return false;
-  }
-  for (Slot* q : qs) {
-    if (q->imported.load(std::memory_order_relaxed) + amount >
-        q->import_limit.load(std::memory_order_relaxed)) {
-      stat_inc(charge_counters_.rejected_import);
-      return false;
-    }
-  }
-  write_begin();
-  for (Slot* q : qs) {
-    q->imported.store(q->imported.load(std::memory_order_relaxed) + amount,
-                      std::memory_order_relaxed);
-  }
-  u->exported.store(u_exp + amount * double(qs.size()),
-                    std::memory_order_relaxed);
-  write_end();
-  stat_inc(charge_counters_.charges_ok);
-  stat_add(charge_counters_.import_charged, amount * double(qs.size()));
-  stat_add(charge_counters_.export_charged, amount * double(qs.size()));
-  for (Slot* q : qs) {
-    Tracer::emit(tracer_, TraceKind::FuzzImport, site_, q->id, 0, amount,
-                 q->import_limit.load(std::memory_order_relaxed), 0,
-                 update_et);
-    Tracer::emit(tracer_, TraceKind::FuzzExport, site_, update_et, 0, amount,
-                 u_lim, 0, q->id);
-  }
-  return true;
-}
-
-bool EtRegistry::can_charge_multi(std::span<const TxnId> queries,
-                                  TxnId update_et, Value amount) const {
-  if (amount < 0) return false;
-  if (amount == 0) return true;
-  std::shared_lock slock(struct_mu_);
-  const Slot* u = find(update_et);
-  if (!u) return false;
-  // Epoch-consistent feasibility check: every (counter, limit) pair is read
-  // inside one even epoch, so a concurrent charge can never make us compare
-  // a pre-charge counter against a post-charge limit (or vice versa).
-  const bool feasible = epoch_consistent([&]() -> bool {
-    std::size_t n = 0;
-    for (TxnId q : queries) {
-      const Slot* s = find(q);
-      if (!s) continue;
-      if (s->imported.load(std::memory_order_relaxed) + amount >
-          s->import_limit.load(std::memory_order_relaxed)) {
-        return false;
-      }
-      ++n;
-    }
-    return u->exported.load(std::memory_order_relaxed) + amount * double(n) <=
-           u->export_limit.load(std::memory_order_relaxed);
-  });
-  if (!feasible) stat_inc(charge_counters_.rejected_admission);
-  return feasible;
 }
 
 bool EtRegistry::try_self_import(TxnId query_et, Value amount) {
   if (amount < 0) return false;
-  std::shared_lock slock(struct_mu_);
-  Slot* q = find(query_et);
+  Shard& sh = shard_of(query_et);
+  std::shared_lock slock(sh.mu);
+  Slot* q = find(sh, query_et);
   if (!q) return false;
   std::lock_guard clock(charge_mu_);
   const Value imp = q->imported.load(std::memory_order_relaxed);
@@ -175,34 +64,30 @@ bool EtRegistry::try_self_import(TxnId query_et, Value amount) {
   return true;
 }
 
-std::optional<EtRegistry::Entry> EtRegistry::get(TxnId id) const {
-  std::shared_lock lock(struct_mu_);
-  const Slot* s = find(id);
-  if (!s) return std::nullopt;
-  return epoch_consistent([&]() -> Entry {
-    Entry e;
-    e.id = s->id;
-    e.kind = s->kind;
-    e.parent = s->parent;
-    e.spec.import_limit = s->import_limit.load(std::memory_order_relaxed);
-    e.spec.export_limit = s->export_limit.load(std::memory_order_relaxed);
-    e.imported = s->imported.load(std::memory_order_relaxed);
-    e.exported = s->exported.load(std::memory_order_relaxed);
-    return e;
-  });
+EtRegistry::Entry EtRegistry::entry_of(const Slot& s) {
+  Entry e;
+  e.id = s.id;
+  e.kind = s.kind;
+  e.parent = s.parent;
+  e.spec.import_limit = s.import_limit.load(std::memory_order_relaxed);
+  e.spec.export_limit = s.export_limit.load(std::memory_order_relaxed);
+  e.imported = s.imported.load(std::memory_order_relaxed);
+  e.exported = s.exported.load(std::memory_order_relaxed);
+  return e;
 }
 
-TxnKind EtRegistry::kind_of(TxnId id) const {
-  std::shared_lock lock(struct_mu_);
-  const Slot* s = find(id);
-  // Ended/unknown ETs are treated as updates: the conservative choice -- an
-  // unknown partner never justifies a fuzzy grant.
-  return s ? s->kind : TxnKind::Update;
+std::optional<EtRegistry::Entry> EtRegistry::get(TxnId id) const {
+  const Shard& sh = shard_of(id);
+  std::shared_lock lock(sh.mu);
+  const Slot* s = find(sh, id);
+  if (!s) return std::nullopt;
+  return epoch_consistent([&] { return entry_of(*s); });
 }
 
 Value EtRegistry::fuzziness_of(TxnId id) const {
-  std::shared_lock lock(struct_mu_);
-  const Slot* s = find(id);
+  const Shard& sh = shard_of(id);
+  std::shared_lock lock(sh.mu);
+  const Slot* s = find(sh, id);
   if (!s) return 0;
   return epoch_consistent([&]() -> Value {
     return s->imported.load(std::memory_order_relaxed) +
@@ -211,8 +96,9 @@ Value EtRegistry::fuzziness_of(TxnId id) const {
 }
 
 void EtRegistry::set_spec(TxnId id, EpsilonSpec spec) {
-  std::shared_lock slock(struct_mu_);
-  Slot* s = find(id);
+  Shard& sh = shard_of(id);
+  std::shared_lock slock(sh.mu);
+  Slot* s = find(sh, id);
   if (!s) return;
   std::lock_guard clock(charge_mu_);
   write_begin();
@@ -222,83 +108,95 @@ void EtRegistry::set_spec(TxnId id, EpsilonSpec spec) {
 }
 
 Value EtRegistry::end_commit(TxnId id) {
-  std::unique_lock lock(struct_mu_);
-  auto it = live_.find(id);
-  if (it == live_.end()) return 0;
-  // Exclusive struct lock: no charge holds the shared lock, so the counters
-  // are quiescent and plain relaxed loads are the final values.
-  const Slot& s = *it->second;
-  const Value z = s.imported.load(std::memory_order_relaxed) +
-                  s.exported.load(std::memory_order_relaxed);
-  if (s.parent != kInvalidTxn) parent_z_[s.parent] += z;
-  // Retirement roll-up for the obs layer: fold the ET's budget consumption
-  // into the per-kind cumulative telemetry (its own slot is about to go).
-  // Infinite limits are tallied apart so utilization ratios stay meaningful.
-  if (s.kind == TxnKind::Query) {
-    const Value lim = s.import_limit.load(std::memory_order_relaxed);
-    stat_inc(charge_counters_.retired_query_count);
-    if (std::isinf(lim)) {
-      stat_inc(charge_counters_.retired_query_unlimited);
+  Value z = 0;
+  TxnId parent = kInvalidTxn;
+  {
+    Shard& sh = shard_of(id);
+    std::unique_lock lock(sh.mu);
+    auto it = sh.live.find(id);
+    if (it == sh.live.end()) return 0;
+    // Exclusive shard lock: no charge on this ET holds the shared side, so
+    // the counters are quiescent and plain relaxed loads are final values.
+    const Slot& s = it->second;
+    z = s.imported.load(std::memory_order_relaxed) +
+        s.exported.load(std::memory_order_relaxed);
+    parent = s.parent;
+    // Retirement roll-up for the obs layer: fold the ET's budget consumption
+    // into the shard's per-kind telemetry (its own slot is about to go).
+    // Infinite limits are tallied apart so utilization ratios stay
+    // meaningful.
+    Retired& r = sh.retired;
+    if (s.kind == TxnKind::Query) {
+      const Value lim = s.import_limit.load(std::memory_order_relaxed);
+      stat_inc(r.query_count);
+      if (std::isinf(lim)) {
+        stat_inc(r.query_unlimited);
+      } else {
+        stat_add(r.query_used, s.imported.load(std::memory_order_relaxed));
+        stat_add(r.query_limit, lim);
+      }
     } else {
-      stat_add(charge_counters_.retired_query_used,
-               s.imported.load(std::memory_order_relaxed));
-      stat_add(charge_counters_.retired_query_limit, lim);
+      const Value lim = s.export_limit.load(std::memory_order_relaxed);
+      stat_inc(r.update_count);
+      if (std::isinf(lim)) {
+        stat_inc(r.update_unlimited);
+      } else {
+        stat_add(r.update_used, s.exported.load(std::memory_order_relaxed));
+        stat_add(r.update_limit, lim);
+      }
     }
-  } else {
-    const Value lim = s.export_limit.load(std::memory_order_relaxed);
-    stat_inc(charge_counters_.retired_update_count);
-    if (std::isinf(lim)) {
-      stat_inc(charge_counters_.retired_update_unlimited);
-    } else {
-      stat_add(charge_counters_.retired_update_used,
-               s.exported.load(std::memory_order_relaxed));
-      stat_add(charge_counters_.retired_update_limit, lim);
-    }
+    sh.live.erase(it);
   }
-  live_.erase(it);
+  // The parent's accumulator lives in the parent id's shard; the piece's
+  // shard is released first (one shard at a time).
+  if (parent != kInvalidTxn) {
+    Shard& ps = shard_of(parent);
+    std::unique_lock lock(ps.mu);
+    ps.parent_z[parent] += z;
+  }
   return z;
 }
 
 void EtRegistry::end_abort(TxnId id) {
-  std::unique_lock lock(struct_mu_);
-  live_.erase(id);
+  Shard& sh = shard_of(id);
+  std::unique_lock lock(sh.mu);
+  sh.live.erase(id);
 }
 
 Value EtRegistry::parent_fuzziness(TxnId parent) const {
-  std::shared_lock lock(struct_mu_);
-  auto it = parent_z_.find(parent);
-  return it == parent_z_.end() ? 0 : it->second;
+  const Shard& sh = shard_of(parent);
+  std::shared_lock lock(sh.mu);
+  auto it = sh.parent_z.find(parent);
+  return it == sh.parent_z.end() ? 0 : it->second;
 }
 
 void EtRegistry::forget_parent(TxnId parent) {
-  std::unique_lock lock(struct_mu_);
-  parent_z_.erase(parent);
+  Shard& sh = shard_of(parent);
+  std::unique_lock lock(sh.mu);
+  sh.parent_z.erase(parent);
 }
 
 std::size_t EtRegistry::live_count() const {
-  std::shared_lock lock(struct_mu_);
-  return live_.size();
+  std::size_t n = 0;
+  for (const Shard& sh : shards_) {
+    std::shared_lock lock(sh.mu);
+    n += sh.live.size();
+  }
+  return n;
 }
 
 std::vector<EtRegistry::Entry> EtRegistry::snapshot_all() const {
-  std::shared_lock lock(struct_mu_);
-  return epoch_consistent([&]() -> std::vector<Entry> {
-    std::vector<Entry> out;
-    out.reserve(live_.size());
-    for (const auto& kv : live_) {
-      const Slot& s = *kv.second;
-      Entry e;
-      e.id = s.id;
-      e.kind = s.kind;
-      e.parent = s.parent;
-      e.spec.import_limit = s.import_limit.load(std::memory_order_relaxed);
-      e.spec.export_limit = s.export_limit.load(std::memory_order_relaxed);
-      e.imported = s.imported.load(std::memory_order_relaxed);
-      e.exported = s.exported.load(std::memory_order_relaxed);
-      out.push_back(e);
-    }
-    return out;
-  });
+  std::vector<Entry> out;
+  for (const Shard& sh : shards_) {
+    std::shared_lock lock(sh.mu);
+    const std::size_t mark = out.size();
+    epoch_consistent([&] {
+      out.resize(mark);  // drop a torn attempt's entries
+      for (const auto& kv : sh.live) out.push_back(entry_of(kv.second));
+      return true;
+    });
+  }
+  return out;
 }
 
 EtRegistry::ChargeStats EtRegistry::charge_stats() const {
@@ -306,22 +204,20 @@ EtRegistry::ChargeStats EtRegistry::charge_stats() const {
   ChargeStats s;
   s.charges_ok = c.charges_ok.load(std::memory_order_relaxed);
   s.rejected_import = c.rejected_import.load(std::memory_order_relaxed);
-  s.rejected_export = c.rejected_export.load(std::memory_order_relaxed);
-  s.rejected_admission = c.rejected_admission.load(std::memory_order_relaxed);
   s.import_charged = c.import_charged.load(std::memory_order_relaxed);
-  s.export_charged = c.export_charged.load(std::memory_order_relaxed);
-  s.retired_query_count = c.retired_query_count.load(std::memory_order_relaxed);
-  s.retired_query_unlimited =
-      c.retired_query_unlimited.load(std::memory_order_relaxed);
-  s.retired_query_used = c.retired_query_used.load(std::memory_order_relaxed);
-  s.retired_query_limit = c.retired_query_limit.load(std::memory_order_relaxed);
-  s.retired_update_count =
-      c.retired_update_count.load(std::memory_order_relaxed);
-  s.retired_update_unlimited =
-      c.retired_update_unlimited.load(std::memory_order_relaxed);
-  s.retired_update_used = c.retired_update_used.load(std::memory_order_relaxed);
-  s.retired_update_limit =
-      c.retired_update_limit.load(std::memory_order_relaxed);
+  for (const Shard& sh : shards_) {
+    const Retired& r = sh.retired;
+    s.retired_query_count += r.query_count.load(std::memory_order_relaxed);
+    s.retired_query_unlimited +=
+        r.query_unlimited.load(std::memory_order_relaxed);
+    s.retired_query_used += r.query_used.load(std::memory_order_relaxed);
+    s.retired_query_limit += r.query_limit.load(std::memory_order_relaxed);
+    s.retired_update_count += r.update_count.load(std::memory_order_relaxed);
+    s.retired_update_unlimited +=
+        r.update_unlimited.load(std::memory_order_relaxed);
+    s.retired_update_used += r.update_used.load(std::memory_order_relaxed);
+    s.retired_update_limit += r.update_limit.load(std::memory_order_relaxed);
+  }
   return s;
 }
 

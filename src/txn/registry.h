@@ -1,35 +1,36 @@
 // Registry of live epsilon transactions and their fuzziness accounts.
 //
-// Divergence control needs, at every read-write conflict, an atomic check-
-// and-charge across *two* budgets: the query side's import account and the
-// update side's export account (Section 1.1).  The registry performs the
-// pair/multi charge all-or-nothing under one charge mutex so budgets can
-// never be overcommitted by racing conflicts.
+// Every elementary transaction (ET, one piece) registers here at begin and
+// retires at commit or abort, so the registry sits on every transaction's
+// path.  It is split into kShards shards by ET id; each shard owns its slice
+// of the live table, the parent (Z_t) accumulators of the ids that hash to
+// it, its retirement telemetry and its own struct mutex.  begin, end_commit,
+// end_abort, try_self_import, fuzziness_of and set_spec lock only the shard
+// of the id they name, so concurrent ETs on different shards never meet on
+// a registry lock.  All shard mutexes share one rank (kTxnStruct), which
+// makes holding two of them a lock-order violation: no path ever does.
+// Bulk reads (snapshot_all, live_count) visit the shards one at a time, and
+// end_commit drops the piece's shard before it adds Z_p to the parent's.
 //
-// Hot-path layout: with the lock table sharded (lock/lock_manager.h), fuzzy
-// grants on different stripes reach this ledger concurrently, so the per-ET
-// import/export counters live in cache-line-padded atomics.  Mutations stay
-// serialized behind charge_mu_, but the *read* paths divergence control hits
-// on every conflict evaluation -- the can_charge_multi feasibility peek,
-// kind_of, fuzziness_of -- never take it.  Readers get a consistent
-// (counter, limit) snapshot via an epoch counter (seqlock discipline): a
-// charge bumps the epoch to odd, applies its stores, bumps back to even;
-// a reader retries until it sees the same even epoch on both sides of its
-// loads.  Torn eps-spec checks (counter from before a charge, limit from
-// after) are therefore impossible, which is what keeps the DC admission
-// decision sound under cross-stripe concurrency -- see DESIGN.md section 7.
+// Charges are single-ET: the query side's import account (divergence
+// control prices a fresh read off version timestamps, DcResolver) and the
+// eps-spec rewrites of dynamic limit distribution.  Mutations serialize
+// behind charge_mu_ and write inside an epoch window (seqlock discipline):
+// a charge bumps the epoch to odd, applies its stores, bumps back to even; a
+// reader retries until it sees the same even epoch on both sides of its
+// loads.  Every (counter, limit) pair a reader returns is therefore from one
+// instant -- no torn eps-spec checks -- see DESIGN.md section 7.
 //
 // Pieces of a chopped transaction register with a `parent` id; committed
 // fuzziness rolls up into per-parent totals so the engine can verify
 // Lemma 1 (Z_t = sum of Z_p) and Condition 2 at runtime.
 #pragma once
 
+#include <array>
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -76,29 +77,10 @@ class EtRegistry {
     return next_id_.fetch_add(1, std::memory_order_relaxed);  // relaxed-ok: uniqueness, not ordering
   }
 
-  /// Atomically charge `amount` of fuzziness to the query ET's import
-  /// account and the update ET's export account.  Returns false -- with no
-  /// state change -- if either account would exceed its limit.
-  bool try_charge_pair(TxnId query_et, TxnId update_et, Value amount);
-
-  /// Multi-query variant: each query imports `amount`; the update exports
-  /// `amount` once per query (one read-write conflict per pair).  All-or-
-  /// nothing under one mutex.  Queries absent from the registry (already
-  /// ended) are skipped -- their S locks are gone or going.
-  bool try_charge_multi(std::span<const TxnId> queries, TxnId update_et,
-                        Value amount);
-
-  /// Feasibility peek: would try_charge_multi succeed right now?  No state
-  /// change and no charge-mutex acquisition (epoch-consistent reads only).
-  /// Used by the DC resolver to admit an update's X lock whose write will be
-  /// charged (for real) at write time.
-  [[nodiscard]] bool can_charge_multi(std::span<const TxnId> queries,
-                                      TxnId update_et, Value amount) const;
-
   /// Charge `amount` to the query ET's own import account with no export
-  /// counterpart -- optimistic divergence control validates against
-  /// already-committed updates, whose export accounts are gone.  All-or-
-  /// nothing against the import limit.
+  /// counterpart -- divergence control prices a fresh read (DcResolver) and
+  /// optimistic validation (ODC) against already-committed updates, whose
+  /// export accounts are gone.  All-or-nothing against the import limit.
   bool try_self_import(TxnId query_et, Value amount);
 
   /// Cumulative charge/rejection telemetry plus roll-ups of ended ETs,
@@ -111,9 +93,12 @@ class EtRegistry {
   struct ChargeStats {
     std::uint64_t charges_ok = 0;          ///< successful charge operations
     std::uint64_t rejected_import = 0;     ///< refusals: import limit hit
+    double import_charged = 0;             ///< total fuzziness imported
+    // The next three stay 0: every charge is an import now (DC prices
+    // reads and never grants past a lock).  They are kept so the eps.*
+    // metric family keeps its shape for its readers.
     std::uint64_t rejected_export = 0;     ///< refusals: export limit hit
     std::uint64_t rejected_admission = 0;  ///< DC feasibility peeks refused
-    double import_charged = 0;             ///< total fuzziness imported
     double export_charged = 0;             ///< total fuzziness exported
     std::uint64_t retired_query_count = 0;
     std::uint64_t retired_query_unlimited = 0;
@@ -130,13 +115,12 @@ class EtRegistry {
   /// Snapshot of an entry (copies; absent if ended).
   [[nodiscard]] std::optional<Entry> get(TxnId id) const;
 
-  /// Epoch-consistent copy of every live ET -- the obs layer's bulk read.
-  /// All (counter, limit) pairs are captured inside one even seqlock epoch,
-  /// so a concurrent all-or-nothing charge is either fully visible in the
-  /// result or not at all (no torn epsilon-budget pairs).
+  /// Copy of every live ET -- the obs layer's bulk read.  Shards are
+  /// visited one at a time; each shard's entries are captured inside one
+  /// even seqlock epoch, so every (counter, limit) pair is from one instant
+  /// (no torn epsilon-budget pairs).  ETs beginning or retiring during the
+  /// sweep may or may not appear.
   [[nodiscard]] std::vector<Entry> snapshot_all() const;
-
-  [[nodiscard]] TxnKind kind_of(TxnId id) const;
 
   /// Total fuzziness of the ET: imported + exported (for a piece, its Z_p).
   [[nodiscard]] Value fuzziness_of(TxnId id) const;
@@ -170,12 +154,15 @@ class EtRegistry {
   }
 
  private:
-  /// Live ET record.  One cache line per ET: the import/export counters are
-  /// the write-hot fields, and padding keeps two ETs charged from different
-  /// lock stripes from false-sharing.  id/kind/parent are immutable after
-  /// begin(); the limits and counters are atomics mutated only under
-  /// charge_mu_ inside an epoch window, and read lock-free under the epoch
-  /// protocol.
+  /// Shard count: a power of two well above the worker count, so ETs begun
+  /// back to back (consecutive ids) land on different shards.
+  static constexpr std::size_t kShards = 16;
+
+  /// Live ET record, stored in its shard's map node (stable address while
+  /// the ET lives).  One cache line per ET: the import/export counters are
+  /// the write-hot fields.  id/kind/parent are immutable after begin(); the
+  /// limits and counters are atomics mutated only under charge_mu_ inside an
+  /// epoch window, and read lock-free under the epoch protocol.
   struct alignas(64) Slot {
     TxnId id = kInvalidTxn;
     TxnKind kind = TxnKind::Update;
@@ -185,6 +172,36 @@ class EtRegistry {
     std::atomic<Value> imported{0};
     std::atomic<Value> exported{0};
   };
+
+  /// Retirement roll-up of one shard: mutated under the shard's exclusive
+  /// lock, read lock-free by charge_stats() (relaxed atomics).
+  struct Retired {
+    std::atomic<std::uint64_t> query_count{0};
+    std::atomic<std::uint64_t> query_unlimited{0};
+    std::atomic<double> query_used{0};
+    std::atomic<double> query_limit{0};
+    std::atomic<std::uint64_t> update_count{0};
+    std::atomic<std::uint64_t> update_unlimited{0};
+    std::atomic<double> update_used{0};
+    std::atomic<double> update_limit{0};
+  };
+
+  /// One shard.  `mu` guards the maps' structure (insert/erase/lookup), NOT
+  /// the slot counters: lookups take it shared, begin/end take it unique.
+  /// Cache-line aligned so neighbouring shards' mutexes do not false-share.
+  struct alignas(64) Shard {
+    mutable OrderedSharedMutex<LockRank::kTxnStruct> mu;  ///< rank kTxnStruct: one shard at a time, then charge_mu_
+    std::unordered_map<TxnId, Slot> live;
+    std::unordered_map<TxnId, Value> parent_z;  ///< Z_t accumulators
+    Retired retired;
+  };
+
+  [[nodiscard]] Shard& shard_of(TxnId id) noexcept {
+    return shards_[id % kShards];
+  }
+  [[nodiscard]] const Shard& shard_of(TxnId id) const noexcept {
+    return shards_[id % kShards];
+  }
 
   /// Begin an epoch-write window (caller holds charge_mu_).
   void write_begin() noexcept {
@@ -215,25 +232,23 @@ class EtRegistry {
     }
   }
 
-  [[nodiscard]] const Slot* find(TxnId id) const {
-    auto it = live_.find(id);
-    return it == live_.end() ? nullptr : it->second.get();
+  /// Lookup in the id's shard (caller holds that shard's mu).
+  [[nodiscard]] static Slot* find(Shard& sh, TxnId id) {
+    auto it = sh.live.find(id);
+    return it == sh.live.end() ? nullptr : &it->second;
   }
-  [[nodiscard]] Slot* find(TxnId id) {
-    auto it = live_.find(id);
-    return it == live_.end() ? nullptr : it->second.get();
+  [[nodiscard]] static const Slot* find(const Shard& sh, TxnId id) {
+    auto it = sh.live.find(id);
+    return it == sh.live.end() ? nullptr : &it->second;
   }
 
-  // Guards the maps themselves (insert/erase/lookup), NOT the counters:
-  // lookups take it shared, begin/end take it unique.  Slots are heap-
-  // allocated so pointers stay stable while a shared holder works on them.
-  mutable OrderedSharedMutex<LockRank::kTxnStruct> struct_mu_;  ///< rank kTxnStruct
-  std::unordered_map<TxnId, std::unique_ptr<Slot>> live_;
-  std::unordered_map<TxnId, Value> parent_z_;  // Z_t accumulators
+  [[nodiscard]] static Entry entry_of(const Slot& s);
 
-  // Serializes all counter/limit mutations (all-or-nothing multi charges).
-  // Lock order: struct_mu_ (shared) then charge_mu_.
-  mutable OrderedMutex<LockRank::kTxnCharge> charge_mu_;  ///< rank kTxnCharge: struct_mu_ (shared) then charge_mu_
+  std::array<Shard, kShards> shards_;
+
+  // Serializes all counter/limit mutations.  Lock order: the ET's shard mu
+  // (shared) then charge_mu_.
+  mutable OrderedMutex<LockRank::kTxnCharge> charge_mu_;  ///< rank kTxnCharge: a shard's struct mu (shared) then charge_mu_
   /// Seqlock epoch; odd = write in flight.  Mutable: the TSan-friendly
   /// read path re-checks it with a (value-preserving) RMW from const reads.
   mutable std::atomic<std::uint64_t> epoch_{0};
@@ -242,26 +257,14 @@ class EtRegistry {
   Tracer* tracer_ = nullptr;
   SiteId site_ = 0;
 
-  /// ChargeStats backing store.  Mutations happen under charge_mu_ (charges)
-  /// or the unique struct_mu_ (retirement), so the relaxed atomics are only
-  /// for lock-free reads by charge_stats().
+  /// Charge telemetry.  Mutations happen under charge_mu_, so the relaxed
+  /// atomics are only for lock-free reads by charge_stats().
   struct ChargeCounters {
     std::atomic<std::uint64_t> charges_ok{0};
     std::atomic<std::uint64_t> rejected_import{0};
-    std::atomic<std::uint64_t> rejected_export{0};
-    std::atomic<std::uint64_t> rejected_admission{0};
     std::atomic<double> import_charged{0};
-    std::atomic<double> export_charged{0};
-    std::atomic<std::uint64_t> retired_query_count{0};
-    std::atomic<std::uint64_t> retired_query_unlimited{0};
-    std::atomic<double> retired_query_used{0};
-    std::atomic<double> retired_query_limit{0};
-    std::atomic<std::uint64_t> retired_update_count{0};
-    std::atomic<std::uint64_t> retired_update_unlimited{0};
-    std::atomic<double> retired_update_used{0};
-    std::atomic<double> retired_update_limit{0};
   };
-  mutable ChargeCounters charge_counters_;
+  ChargeCounters charge_counters_;
 };
 
 }  // namespace atp

@@ -6,11 +6,17 @@
 
 namespace atp {
 
+namespace {
+inline void bump(std::atomic<std::uint64_t>& cell) {
+  cell.fetch_add(1, std::memory_order_relaxed);  // relaxed-ok: independent event count
+}
+}  // namespace
+
 void GroupCommitter::lead_flush_locked(
     std::unique_lock<OrderedMutex<LockRank::kWalGroup>>& lock,
     std::uint64_t seed) {
   leader_active_ = true;
-  ++stats_.flushes;
+  bump(stats_.flushes);
   async_backlog_ = 0;  // the flush covers every async record appended so far
   lock.unlock();
   // The device sync runs outside mu_ so the next group accumulates behind
@@ -26,8 +32,15 @@ void GroupCommitter::lead_flush_locked(
 }
 
 void GroupCommitter::wait_durable(std::uint64_t lsn, std::uint64_t seed) {
+  bump(stats_.sync_commits);
+  // Fast path: a flush that finished while this commit was appending
+  // already covers it.  durable_lsn() is an acquire load of a frontier the
+  // device only advances after a successful fsync.
+  if (wal_.durable_lsn() >= lsn) {
+    bump(stats_.batched);
+    return;
+  }
   std::unique_lock lock(mu_);
-  ++stats_.sync_commits;
   bool led = false;
   while (wal_.durable_lsn() < lsn) {
     if (leader_active_) {
@@ -37,19 +50,19 @@ void GroupCommitter::wait_durable(std::uint64_t lsn, std::uint64_t seed) {
       lead_flush_locked(lock, seed);
     }
   }
-  if (!led) ++stats_.batched;
+  if (!led) bump(stats_.batched);
 }
 
 void GroupCommitter::note_async(std::uint64_t lsn, std::uint64_t seed) {
-  std::unique_lock lock(mu_);
-  ++stats_.async_commits;
+  bump(stats_.async_commits);
   if (wal_.durable_lsn() >= lsn) {
-    ++stats_.batched;
+    bump(stats_.batched);
     return;  // already covered by an earlier group
   }
+  std::unique_lock lock(mu_);
   ++async_backlog_;
   if (async_backlog_ >= kAsyncFlushBacklog && !leader_active_) {
-    ++stats_.async_self_flushes;
+    bump(stats_.async_self_flushes);
     lead_flush_locked(lock, seed);
   }
 }
@@ -67,8 +80,16 @@ void GroupCommitter::flush(std::uint64_t seed) {
 }
 
 GroupCommitStats GroupCommitter::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
+  // relaxed-ok(begin): independent event counters, read as statistics.
+  GroupCommitStats s;
+  s.sync_commits = stats_.sync_commits.load(std::memory_order_relaxed);
+  s.async_commits = stats_.async_commits.load(std::memory_order_relaxed);
+  s.flushes = stats_.flushes.load(std::memory_order_relaxed);
+  s.batched = stats_.batched.load(std::memory_order_relaxed);
+  s.async_self_flushes =
+      stats_.async_self_flushes.load(std::memory_order_relaxed);
+  // relaxed-ok(end)
+  return s;
 }
 
 }  // namespace atp

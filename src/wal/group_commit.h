@@ -18,12 +18,17 @@
 //     A crash in the window loses exactly the not-yet-durable async
 //     commits -- the documented contract, exercised by the torn-tail tests.
 //
+// A sync committer whose commit record an earlier flush already covered
+// (the device's durable frontier is one atomic load) returns without
+// touching the committer mutex; only an uncovered one queues.
+//
 // Leadership never migrates mid-flush: one leader runs its fsync outside
 // the committer mutex while followers accumulate, then wakes everyone and
 // whoever still isn't covered elects the next leader.  Injected fsync
 // failures are retried by the leader (a failed sync made nothing durable).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 
@@ -51,9 +56,10 @@ class GroupCommitter {
   GroupCommitter(const GroupCommitter&) = delete;
   GroupCommitter& operator=(const GroupCommitter&) = delete;
 
-  /// Block until durable_lsn >= lsn (sync commit).  The first uncovered
-  /// waiter becomes the flush leader; the rest follow.  `seed` salts the
-  /// leader's fsync-failure retry backoff.
+  /// Block until durable_lsn >= lsn (sync commit).  Returns at once, with
+  /// no lock taken, if the frontier already covers `lsn`; otherwise the
+  /// first uncovered waiter becomes the flush leader and the rest follow.
+  /// `seed` salts the leader's fsync-failure retry backoff.
   void wait_durable(std::uint64_t lsn, std::uint64_t seed);
 
   /// Record an async commit at `lsn`.  Returns immediately; flushes the
@@ -76,8 +82,19 @@ class GroupCommitter {
   mutable OrderedMutex<LockRank::kWalGroup> mu_;  ///< rank kWalGroup: leader election + waiters; reads the wal frontier (kWal) under it
   OrderedCondVar cv_;
   bool leader_active_ = false;     // under mu_
-  std::uint64_t async_backlog_ = 0;  // async commits noted since last flush
-  GroupCommitStats stats_;         // under mu_
+  std::uint64_t async_backlog_ = 0;  // under mu_: async commits since flush
+
+  /// GroupCommitStats cells.  Each event bumps exactly one cell once, some
+  /// on the lock-free fast path, so they are atomics; stats() reads them
+  /// without the mutex.
+  struct Counters {
+    std::atomic<std::uint64_t> sync_commits{0};
+    std::atomic<std::uint64_t> async_commits{0};
+    std::atomic<std::uint64_t> flushes{0};
+    std::atomic<std::uint64_t> batched{0};
+    std::atomic<std::uint64_t> async_self_flushes{0};
+  };
+  Counters stats_;
 };
 
 }  // namespace atp

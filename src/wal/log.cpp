@@ -14,6 +14,25 @@ std::uint64_t LogDevice::append(LogRecord record) {
   return records_.back().lsn;
 }
 
+std::uint64_t LogDevice::append_txn(
+    TxnId txn, std::span<const std::pair<Key, Value>> writes,
+    LogRecordType terminal) {
+  std::lock_guard lock(mu_);
+  for (const auto& [key, value] : writes) {
+    LogRecord& r = records_.emplace_back();
+    r.lsn = next_lsn_++;
+    r.type = LogRecordType::kWrite;
+    r.txn = txn;
+    r.key = key;
+    r.value = value;
+  }
+  LogRecord& t = records_.emplace_back();
+  t.lsn = next_lsn_++;
+  t.type = terminal;
+  t.txn = txn;
+  return t.lsn;
+}
+
 bool LogDevice::fsync() {
   // Snapshot the target LSN up front: this sync covers what was appended
   // before it started.  The latency sleep and the injector's verdict happen
@@ -40,7 +59,9 @@ bool LogDevice::fsync() {
   }
   std::lock_guard lock(mu_);
   ++fsyncs_;
-  durable_lsn_ = std::max(durable_lsn_, target);
+  if (target > durable_lsn_.load(std::memory_order_acquire)) {
+    durable_lsn_.store(target, std::memory_order_release);
+  }
   return true;
 }
 
@@ -63,11 +84,6 @@ std::uint64_t LogDevice::fsync_count() const {
 std::uint64_t LogDevice::fsync_failures() const {
   std::lock_guard lock(mu_);
   return fsync_failures_;
-}
-
-std::uint64_t LogDevice::durable_lsn() const {
-  std::lock_guard lock(mu_);
-  return durable_lsn_;
 }
 
 std::uint64_t LogDevice::next_lsn() const {
@@ -102,9 +118,9 @@ void LogDevice::truncate_before(std::uint64_t lsn) {
 
 void LogDevice::tear_to_durable() {
   std::lock_guard lock(mu_);
-  std::erase_if(records_, [this](const LogRecord& r) {
-    return r.lsn > durable_lsn_;
-  });
+  const std::uint64_t durable = durable_lsn_.load(std::memory_order_acquire);
+  std::erase_if(records_,
+                [durable](const LogRecord& r) { return r.lsn > durable; });
 }
 
 std::size_t LogDevice::size() const {

@@ -25,11 +25,14 @@
 // fsync latency so group-commit batching behaves like a real device.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -75,6 +78,16 @@ class LogDevice {
   /// Append a record; assigns and returns its LSN.
   std::uint64_t append(LogRecord record);
 
+  /// Append a transaction's after-images -- one kWrite record per
+  /// (key, value) in `writes`, in order -- and then its `terminal` record
+  /// (kCommit or kPrepare), all under one device lock.  The records get
+  /// contiguous LSNs with the terminal record last, so a commit costs one
+  /// lock round trip however many keys it wrote.  Returns the terminal
+  /// record's LSN.
+  std::uint64_t append_txn(TxnId txn,
+                           std::span<const std::pair<Key, Value>> writes,
+                           LogRecordType terminal);
+
   /// Force to stable storage: every record appended before the call becomes
   /// durable.  A no-op for memory, but counted: tests assert the
   /// force-at-commit discipline through this number.  Returns false if an
@@ -100,8 +113,11 @@ class LogDevice {
   [[nodiscard]] std::uint64_t next_lsn() const;
 
   /// Highest LSN made durable by a successful fsync (0 = none yet).
-  /// Records above it exist only in the volatile tail.
-  [[nodiscard]] std::uint64_t durable_lsn() const;
+  /// Records above it exist only in the volatile tail.  One atomic load,
+  /// no device lock: committers poll it on every sync commit.
+  [[nodiscard]] std::uint64_t durable_lsn() const {
+    return durable_lsn_.load(std::memory_order_acquire);
+  }
 
   /// Cursor read: append up to `max` records with lsn >= `from` to `out`,
   /// in LSN order.  Returns the cursor for the next chunk (one past the
@@ -129,7 +145,8 @@ class LogDevice {
   mutable OrderedMutex<LockRank::kWal> mu_;  ///< rank kWal: inner to queue endpoints; fsync verdicts and latency sleeps happen outside
   std::vector<LogRecord> records_;
   std::uint64_t next_lsn_ = 1;
-  std::uint64_t durable_lsn_ = 0;
+  /// Written under mu_ (monotone, release); read lock-free (acquire).
+  std::atomic<std::uint64_t> durable_lsn_{0};
   std::uint64_t fsyncs_ = 0;
   std::uint64_t fsync_failures_ = 0;
   std::chrono::microseconds fsync_latency_{0};

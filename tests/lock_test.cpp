@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "lock/lock_manager.h"
 
@@ -237,6 +238,91 @@ TEST_F(LockTest, ThreeWayDeadlockDetected) {
   locks_.release_all(2);
   t1.join();
   locks_.release_all(1);
+}
+
+/// A key in stripe `stripe`, at or after `from`.
+Key key_in_stripe(std::size_t stripe, Key from = 0) {
+  Key k = from;
+  while (LockManager::stripe_index(k) != stripe) ++k;
+  return k;
+}
+
+std::vector<std::uint64_t> releases_per_stripe(const LockManager& locks) {
+  std::vector<std::uint64_t> out;
+  for (const LockStripeSnapshot& s : locks.stripe_stats()) {
+    out.push_back(s.releases);
+  }
+  return out;
+}
+
+TEST_F(LockTest, ReleaseAllVisitsOnlyTheTouchedStripes) {
+  // An update ET locking two keys in stripes 3 and 9 releases by visiting
+  // exactly those two stripes; the other fourteen are never locked.
+  const Key a = key_in_stripe(3);
+  const Key b = key_in_stripe(9);
+  LockManager::StripeMask mask = 0;
+  mask |= LockManager::stripe_bit(a);
+  ASSERT_TRUE(locks_.acquire(1, a, LockMode::Exclusive, cc_).ok());
+  mask |= LockManager::stripe_bit(b);
+  ASSERT_TRUE(locks_.acquire(1, b, LockMode::Shared, cc_).ok());
+
+  const std::vector<std::uint64_t> before = releases_per_stripe(locks_);
+  locks_.release_all(1, mask);
+  const std::vector<std::uint64_t> after = releases_per_stripe(locks_);
+  ASSERT_EQ(after.size(), LockManager::kStripes);
+  for (std::size_t i = 0; i < LockManager::kStripes; ++i) {
+    const std::uint64_t expect = (i == 3 || i == 9) ? 1 : 0;
+    EXPECT_EQ(after[i] - before[i], expect) << "stripe " << i;
+  }
+  EXPECT_FALSE(locks_.holds(1, a, LockMode::Shared));
+  EXPECT_FALSE(locks_.holds(1, b, LockMode::Shared));
+  EXPECT_TRUE(locks_.acquire(2, a, LockMode::Exclusive, cc_).ok());
+  EXPECT_TRUE(locks_.acquire(2, b, LockMode::Exclusive, cc_).ok());
+
+  // A lock-free ET (empty mask) visits no stripe at all.
+  const std::vector<std::uint64_t> idle = releases_per_stripe(locks_);
+  locks_.release_all(3, 0);
+  EXPECT_EQ(releases_per_stripe(locks_), idle);
+}
+
+TEST_F(LockTest, TouchedStripeReleaseStillCancelsACrossThreadWaiter) {
+  // Txn 2 holds a key in stripe 5 and blocks on a key in stripe 12 that txn
+  // 1 holds.  Its mask gained stripe 12's bit before the acquire, so a
+  // release_all from another thread (the abort path) reaches the pending
+  // wait and cancels it, while leaving every untouched stripe alone.
+  const Key held = key_in_stripe(5);
+  const Key wanted = key_in_stripe(12);
+  locks_.set_timeout(10s);  // only the cancel may end the wait
+  ASSERT_TRUE(locks_.acquire(1, wanted, LockMode::Exclusive, cc_).ok());
+
+  std::atomic<LockManager::StripeMask> mask2{0};
+  mask2 |= LockManager::stripe_bit(held);
+  ASSERT_TRUE(locks_.acquire(2, held, LockMode::Exclusive, cc_).ok());
+  Status result = Status::Ok();
+  std::thread t([&] {
+    mask2 |= LockManager::stripe_bit(wanted);
+    result = locks_.acquire(2, wanted, LockMode::Exclusive, cc_);
+  });
+  // Wait until txn 2 is parked in stripe 12.
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (locks_.stripe_stats()[12].waiters_now == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(locks_.stripe_stats()[12].waiters_now, 1u);
+
+  const std::vector<std::uint64_t> before = releases_per_stripe(locks_);
+  locks_.release_all(2, mask2.load());
+  t.join();
+  EXPECT_EQ(result.code(), ErrorCode::kAborted);
+  const std::vector<std::uint64_t> after = releases_per_stripe(locks_);
+  for (std::size_t i = 0; i < LockManager::kStripes; ++i) {
+    const std::uint64_t expect = (i == 5 || i == 12) ? 1 : 0;
+    EXPECT_EQ(after[i] - before[i], expect) << "stripe " << i;
+  }
+  EXPECT_FALSE(locks_.holds(2, held, LockMode::Shared));
+  EXPECT_TRUE(locks_.holds(1, wanted, LockMode::Exclusive));
+  locks_.release_all(1, LockManager::stripe_bit(wanted));
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "txn/epsilon.h"
@@ -29,8 +31,8 @@ TEST(EtRegistry, BeginAssignsDistinctIds) {
   const TxnId a = reg.begin(TxnKind::Query, EpsilonSpec::importing(10));
   const TxnId b = reg.begin(TxnKind::Update, EpsilonSpec::exporting(10));
   EXPECT_NE(a, b);
-  EXPECT_EQ(reg.kind_of(a), TxnKind::Query);
-  EXPECT_EQ(reg.kind_of(b), TxnKind::Update);
+  EXPECT_EQ(reg.get(a)->kind, TxnKind::Query);
+  EXPECT_EQ(reg.get(b)->kind, TxnKind::Update);
   EXPECT_EQ(reg.live_count(), 2u);
 }
 
@@ -42,126 +44,57 @@ TEST(EtRegistry, AllocateIdDoesNotRegister) {
   EXPECT_FALSE(reg.get(id).has_value());
 }
 
-TEST(EtRegistry, UnknownKindDefaultsToUpdate) {
-  EtRegistry reg;
-  EXPECT_EQ(reg.kind_of(999), TxnKind::Update);
-}
-
-TEST(EtRegistry, PairChargeWithinLimits) {
+TEST(EtRegistry, SelfImportWithinLimit) {
   EtRegistry reg;
   const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(10));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(10));
-  EXPECT_TRUE(reg.try_charge_pair(q, u, 4));
-  EXPECT_TRUE(reg.try_charge_pair(q, u, 6));
+  EXPECT_TRUE(reg.try_self_import(q, 4));
+  EXPECT_TRUE(reg.try_self_import(q, 6));
   EXPECT_EQ(reg.fuzziness_of(q), 10);
-  EXPECT_EQ(reg.fuzziness_of(u), 10);
+  EXPECT_EQ(reg.charge_stats().charges_ok, 2u);
 }
 
-TEST(EtRegistry, PairChargeRefusedWhenImportWouldOverflow) {
+TEST(EtRegistry, SelfImportRefusedWhenImportWouldOverflow) {
   EtRegistry reg;
   const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(5));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(100));
-  EXPECT_TRUE(reg.try_charge_pair(q, u, 5));
-  EXPECT_FALSE(reg.try_charge_pair(q, u, 1));  // import exhausted
-  // No partial state change on refusal.
-  EXPECT_EQ(reg.fuzziness_of(q), 5);
-  EXPECT_EQ(reg.fuzziness_of(u), 5);
-}
-
-TEST(EtRegistry, PairChargeRefusedWhenExportWouldOverflow) {
-  EtRegistry reg;
-  const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(100));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(5));
-  EXPECT_FALSE(reg.try_charge_pair(q, u, 6));
-  EXPECT_EQ(reg.fuzziness_of(q), 0);
+  EXPECT_TRUE(reg.try_self_import(q, 5));
+  EXPECT_FALSE(reg.try_self_import(q, 1));  // import exhausted
+  EXPECT_EQ(reg.fuzziness_of(q), 5);        // no partial state change
+  EXPECT_EQ(reg.charge_stats().rejected_import, 1u);
 }
 
 TEST(EtRegistry, NegativeChargeRejected) {
   EtRegistry reg;
   const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(100));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(100));
-  EXPECT_FALSE(reg.try_charge_pair(q, u, -1));
+  EXPECT_FALSE(reg.try_self_import(q, -1));
+  EXPECT_EQ(reg.fuzziness_of(q), 0);
 }
 
 TEST(EtRegistry, ChargeOnEndedEtFails) {
   EtRegistry reg;
   const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(100));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(100));
   reg.end_abort(q);
-  EXPECT_FALSE(reg.try_charge_pair(q, u, 1));
-}
-
-TEST(EtRegistry, MultiChargeChargesEveryQueryAndScalesExport) {
-  EtRegistry reg;
-  const TxnId q1 = reg.begin(TxnKind::Query, EpsilonSpec::importing(10));
-  const TxnId q2 = reg.begin(TxnKind::Query, EpsilonSpec::importing(10));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(10));
-  const std::vector<TxnId> qs{q1, q2};
-  EXPECT_TRUE(reg.try_charge_multi(qs, u, 5));
-  EXPECT_EQ(reg.fuzziness_of(q1), 5);
-  EXPECT_EQ(reg.fuzziness_of(q2), 5);
-  EXPECT_EQ(reg.fuzziness_of(u), 10);  // 5 per conflicting query
-}
-
-TEST(EtRegistry, MultiChargeAllOrNothing) {
-  EtRegistry reg;
-  const TxnId q1 = reg.begin(TxnKind::Query, EpsilonSpec::importing(10));
-  const TxnId q2 = reg.begin(TxnKind::Query, EpsilonSpec::importing(2));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(100));
-  const std::vector<TxnId> qs{q1, q2};
-  EXPECT_FALSE(reg.try_charge_multi(qs, u, 5));  // q2 would overflow
-  EXPECT_EQ(reg.fuzziness_of(q1), 0);            // nothing applied
-  EXPECT_EQ(reg.fuzziness_of(u), 0);
-}
-
-TEST(EtRegistry, MultiChargeSkipsEndedQueries) {
-  EtRegistry reg;
-  const TxnId q1 = reg.begin(TxnKind::Query, EpsilonSpec::importing(10));
-  const TxnId q2 = reg.begin(TxnKind::Query, EpsilonSpec::importing(10));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(5));
-  reg.end_abort(q2);
-  const std::vector<TxnId> qs{q1, q2};
-  // Export needs 5 x 1 live query = 5 <= 5: succeeds.
-  EXPECT_TRUE(reg.try_charge_multi(qs, u, 5));
-  EXPECT_EQ(reg.fuzziness_of(q1), 5);
-}
-
-TEST(EtRegistry, MultiChargeZeroAlwaysSucceeds) {
-  EtRegistry reg;
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(0));
-  const std::vector<TxnId> qs{};
-  EXPECT_TRUE(reg.try_charge_multi(qs, u, 0));
-}
-
-TEST(EtRegistry, CanChargeMultiPeeksWithoutApplying) {
-  EtRegistry reg;
-  const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(10));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(10));
-  const std::vector<TxnId> qs{q};
-  EXPECT_TRUE(reg.can_charge_multi(qs, u, 10));
-  EXPECT_EQ(reg.fuzziness_of(q), 0);  // nothing applied
-  EXPECT_FALSE(reg.can_charge_multi(qs, u, 11));
+  EXPECT_FALSE(reg.try_self_import(q, 1));
 }
 
 TEST(EtRegistry, SetSpecWidensBudget) {
   EtRegistry reg;
   const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(1));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(100));
-  EXPECT_FALSE(reg.try_charge_pair(q, u, 5));
+  EXPECT_FALSE(reg.try_self_import(q, 5));
   reg.set_spec(q, EpsilonSpec::importing(10));
-  EXPECT_TRUE(reg.try_charge_pair(q, u, 5));
+  EXPECT_TRUE(reg.try_self_import(q, 5));
 }
 
 TEST(EtRegistry, CommitRollsFuzzinessUpToParent) {
   EtRegistry reg;
   const TxnId parent = reg.allocate_id();
+  // Consecutive ids: the two pieces and the parent sit on different shards,
+  // so the roll-up crosses shards.
   const TxnId p1 =
       reg.begin(TxnKind::Query, EpsilonSpec::importing(10), parent);
   const TxnId p2 =
       reg.begin(TxnKind::Query, EpsilonSpec::importing(10), parent);
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(100));
-  ASSERT_TRUE(reg.try_charge_pair(p1, u, 3));
-  ASSERT_TRUE(reg.try_charge_pair(p2, u, 4));
+  ASSERT_TRUE(reg.try_self_import(p1, 3));
+  ASSERT_TRUE(reg.try_self_import(p2, 4));
   EXPECT_EQ(reg.end_commit(p1), 3);
   EXPECT_EQ(reg.end_commit(p2), 4);
   // Lemma 1: Z_t = sum of Z_p.
@@ -176,19 +109,41 @@ TEST(EtRegistry, AbortDropsFuzzinessWithoutRollup) {
   const TxnId p1 =
       reg.begin(TxnKind::Query, EpsilonSpec::importing(10), parent);
   const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(100));
-  ASSERT_TRUE(reg.try_charge_pair(p1, u, 3));
+  ASSERT_TRUE(reg.try_self_import(p1, 3));
   reg.end_abort(p1);  // "the piece rolls back and resets Z to zero"
   EXPECT_EQ(reg.parent_fuzziness(parent), 0);
   EXPECT_EQ(reg.live_count(), 1u);  // only u
+  EXPECT_TRUE(reg.get(u).has_value());
 }
 
 TEST(EtRegistry, InfiniteLimitAbsorbsAnyCharge) {
   EtRegistry reg;
   const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::unlimited());
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::unlimited());
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(reg.try_charge_pair(q, u, 1e15));
+    EXPECT_TRUE(reg.try_self_import(q, 1e15));
   }
+}
+
+TEST(EtRegistry, RetirementRollsUpAcrossShards) {
+  // Every shard retires its own ETs; charge_stats() sums the shards.
+  EtRegistry reg;
+  std::vector<TxnId> queries;
+  for (int i = 0; i < 40; ++i) {
+    queries.push_back(reg.begin(TxnKind::Query, EpsilonSpec::importing(10)));
+  }
+  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::unlimited());
+  for (TxnId q : queries) {
+    ASSERT_TRUE(reg.try_self_import(q, 2));
+    (void)reg.end_commit(q);
+  }
+  (void)reg.end_commit(u);
+  const EtRegistry::ChargeStats cs = reg.charge_stats();
+  EXPECT_EQ(cs.retired_query_count, 40u);
+  EXPECT_EQ(cs.retired_query_used, 80);
+  EXPECT_EQ(cs.retired_query_limit, 400);
+  EXPECT_EQ(cs.retired_update_count, 1u);
+  EXPECT_EQ(cs.retired_update_unlimited, 1u);
+  EXPECT_EQ(reg.live_count(), 0u);
 }
 
 TEST(EtRegistry, SnapshotAllReportsEveryLiveEt) {
@@ -197,7 +152,7 @@ TEST(EtRegistry, SnapshotAllReportsEveryLiveEt) {
   const TxnId q =
       reg.begin(TxnKind::Query, EpsilonSpec::importing(10), parent);
   const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(20));
-  ASSERT_TRUE(reg.try_charge_pair(q, u, 4));
+  ASSERT_TRUE(reg.try_self_import(q, 4));
 
   const std::vector<EtRegistry::Entry> all = reg.snapshot_all();
   ASSERT_EQ(all.size(), 2u);
@@ -219,7 +174,7 @@ TEST(EtRegistry, SnapshotAllReportsEveryLiveEt) {
   EXPECT_EQ(ue->kind, TxnKind::Update);
   EXPECT_EQ(ue->parent, kInvalidTxn);
   EXPECT_EQ(ue->spec.export_limit, 20);
-  EXPECT_EQ(ue->exported, 4);
+  EXPECT_EQ(ue->exported, 0);
 }
 
 TEST(EtRegistry, SnapshotAllExcludesEndedEts) {
@@ -241,23 +196,64 @@ TEST(EtRegistry, SnapshotAllSeesSpecWidening) {
 }
 
 TEST(EtRegistry, SnapshotAllPairsStayConsistent) {
-  // The import == export pairing of a lockstep-charged pair must hold in
-  // every snapshot (snapshot_all reads the whole set under one seqlock
-  // window; a charge in flight forces a retry, never a torn pair).
+  // Each round widens the limit by one (set_spec) and charges one
+  // (try_self_import), so after the round imported == import_limit.  Every
+  // snapshot must show the (counter, limit) pair of one instant.
   EtRegistry reg;
-  const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(1e9));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(1e9));
+  const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(0));
   for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(reg.try_charge_pair(q, u, 1));
+    reg.set_spec(q, EpsilonSpec::importing(Value(round + 1)));
+    ASSERT_TRUE(reg.try_self_import(q, 1));
     const std::vector<EtRegistry::Entry> all = reg.snapshot_all();
-    Value imported = -1, exported = -2;
-    for (const EtRegistry::Entry& e : all) {
-      if (e.id == q) imported = e.imported;
-      if (e.id == u) exported = e.exported;
-    }
-    EXPECT_EQ(imported, exported);
-    EXPECT_EQ(imported, Value(round + 1));
+    ASSERT_EQ(all.size(), 1u);
+    EXPECT_EQ(all[0].imported, all[0].spec.import_limit);
+    EXPECT_EQ(all[0].imported, Value(round + 1));
   }
+}
+
+TEST(EtRegistry, ConcurrentShardsNeverTearAPairAndDrainToEmpty) {
+  // Four threads run begin -> (set_spec, try_self_import)* -> end_commit on
+  // ids spread over every shard while a fifth sweeps snapshot_all.  The
+  // writers keep 0 <= import_limit - imported <= 1 at every instant (widen
+  // by one, then charge one), so a snapshot pairing a counter from one
+  // instant with a limit from another shows up as a gap outside [0, 1].
+  constexpr int kWriters = 4;
+  constexpr int kEtsPerWriter = 300;
+  constexpr int kRounds = 8;
+  EtRegistry reg;
+  std::atomic<int> writers_done{0};
+  std::atomic<bool> torn{false};
+  std::atomic<std::uint64_t> snapshots{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kEtsPerWriter; ++i) {
+        const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(0));
+        for (int r = 0; r < kRounds; ++r) {
+          reg.set_spec(q, EpsilonSpec::importing(Value(r + 1)));
+          if (!reg.try_self_import(q, 1)) torn = true;
+        }
+        if (reg.end_commit(q) != Value(kRounds)) torn = true;
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_done.load() < kWriters) {
+      for (const EtRegistry::Entry& e : reg.snapshot_all()) {
+        const Value gap = e.spec.import_limit - e.imported;
+        if (gap < 0 || gap > 1) torn = true;
+      }
+      snapshots.fetch_add(1);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_FALSE(torn.load());
+  EXPECT_GT(snapshots.load(), 0u);
+  EXPECT_EQ(reg.live_count(), 0u);
+  EXPECT_TRUE(reg.snapshot_all().empty());
+  EXPECT_EQ(reg.charge_stats().retired_query_count,
+            std::uint64_t(kWriters) * kEtsPerWriter);
 }
 
 }  // namespace

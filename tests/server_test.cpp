@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -317,6 +320,49 @@ TEST(Server, TcpConcurrentClientsAndCounters) {
   ASSERT_NE(granted, nullptr);
   EXPECT_GE(granted->value, double(total));
   srv.stop();
+}
+
+TEST(Server, RepeatedStartStopNeverHangs) {
+  // stop() must wake every worker parked on the ready queue.  Workers that
+  // have checked their wait predicate but not yet blocked would miss a
+  // notify issued without the queue mutex, and join() would hang; starting
+  // and stopping over and over -- some cycles with a client mid-session --
+  // hits that window.  A watchdog turns a hang into a test failure.
+  constexpr int kCycles = 200;
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread watchdog([&done] {
+    if (done.wait_for(60s) != std::future_status::ready) {
+      std::fprintf(stderr, "AtpServer start/stop cycle hung\n");
+      std::abort();
+    }
+  });
+
+  Database db(DatabaseOptions{});
+  db.load(1, 100);
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    ServerOptions so;
+    so.workers = 4;
+    so.poll_interval = 1ms;
+    AtpServer srv(db, std::make_unique<TcpTransport>(0), std::move(so));
+    ASSERT_TRUE(srv.ok());
+    if (cycle % 10 == 0) {
+      // A connected client with an open transaction when stop() runs.
+      Client c(std::make_unique<TcpByteChannel>("127.0.0.1", srv.port()));
+      ASSERT_TRUE(c.hello("bronze").ok());
+      auto t = c.begin(TxnKind::Update);
+      ASSERT_TRUE(t.ok());
+      ASSERT_TRUE(c.add(t.value(), 1, 1).ok());
+      srv.stop();
+      c.close();
+    } else {
+      srv.stop();
+    }
+  }
+  finished.set_value();
+  watchdog.join();
+  // Every cycle's open transaction was aborted at stop: nothing committed.
+  EXPECT_EQ(db.store().read_committed(1).value(), 100);
 }
 
 TEST(Server, PerClassRequestLatencyHistogramsPopulate) {

@@ -106,7 +106,8 @@ TEST(TraceSubscription, DrainsIncrementallyWithStableHorizon) {
   tracer.record(TraceKind::Read, 0, 1, 7);
   tracer.record(TraceKind::TxnCommit, 0, 1);
 
-  auto batch = sub->drain();
+  TraceSubscription::Batch batch;
+  sub->drain(batch);
   ASSERT_EQ(batch.events.size(), 3u);
   EXPECT_EQ(batch.dropped, 0u);
   // Everything recorded is below the horizon (recorders were quiescent).
@@ -114,10 +115,13 @@ TEST(TraceSubscription, DrainsIncrementallyWithStableHorizon) {
 
   // A second drain returns only what is new.
   tracer.record(TraceKind::TxnBegin, 0, 2);
-  batch = sub->drain();
+  sub->drain(batch);
   ASSERT_EQ(batch.events.size(), 1u);
   EXPECT_EQ(batch.events[0].txn, 2u);
-  EXPECT_TRUE(sub->drain().events.empty());
+  // The reused batch keeps its storage across drains.
+  EXPECT_GE(batch.events.capacity(), 3u);
+  sub->drain(batch);
+  EXPECT_TRUE(batch.events.empty());
 
   // collect() is unaffected: subscriptions are non-destructive.
   EXPECT_EQ(tracer.collect().size(), 4u);
@@ -127,7 +131,8 @@ TEST(TraceSubscription, ChargesOverwritesAndClearsAsDropped) {
   Tracer tracer(/*per_thread_capacity=*/8);
   auto sub = tracer.subscribe();
   for (int i = 0; i < 20; ++i) tracer.record(TraceKind::Read, 0, 1, Key(i));
-  auto batch = sub->drain();
+  TraceSubscription::Batch batch;
+  sub->drain(batch);
   ASSERT_EQ(batch.events.size(), 8u);  // the newest 8 survived
   EXPECT_EQ(batch.dropped, 12u);
   EXPECT_EQ(batch.events.front().key, 12u);
@@ -135,13 +140,13 @@ TEST(TraceSubscription, ChargesOverwritesAndClearsAsDropped) {
   // Events recorded then clear()ed before the next drain are dropped too.
   tracer.record(TraceKind::Read, 0, 1, 100);
   tracer.clear();
-  batch = sub->drain();
+  sub->drain(batch);
   EXPECT_TRUE(batch.events.empty());
   EXPECT_EQ(batch.dropped, 13u);  // cumulative
 
   // The stream keeps working after the loss.
   tracer.record(TraceKind::Write, 0, 2, 200);
-  batch = sub->drain();
+  sub->drain(batch);
   ASSERT_EQ(batch.events.size(), 1u);
   EXPECT_EQ(batch.events[0].key, 200u);
   EXPECT_EQ(batch.dropped, 13u);
@@ -155,14 +160,15 @@ TEST(TraceSubscription, StartsAtOldestRetainedSoOldLossesAreNotCharged) {
   Tracer tracer(/*per_thread_capacity=*/8);
   for (int i = 0; i < 20; ++i) tracer.record(TraceKind::Read, 0, 1, Key(i));
   auto sub = tracer.subscribe();
-  auto batch = sub->drain();
+  TraceSubscription::Batch batch;
+  sub->drain(batch);
   ASSERT_EQ(batch.events.size(), 8u);  // the retained suffix
   EXPECT_EQ(batch.events.front().key, 12u);
   EXPECT_EQ(batch.dropped, 0u);  // the 12 pre-subscribe overwrites don't count
 
   // Post-subscription overwrites still do.
   for (int i = 0; i < 20; ++i) tracer.record(TraceKind::Read, 0, 1, Key(i));
-  batch = sub->drain();
+  sub->drain(batch);
   ASSERT_EQ(batch.events.size(), 8u);
   EXPECT_EQ(batch.dropped, 12u);
 
@@ -170,7 +176,7 @@ TEST(TraceSubscription, StartsAtOldestRetainedSoOldLossesAreNotCharged) {
   tracer.record(TraceKind::Read, 0, 1, 99);
   tracer.clear();
   auto late = tracer.subscribe();
-  batch = late->drain();
+  late->drain(batch);
   EXPECT_TRUE(batch.events.empty());
   EXPECT_EQ(batch.dropped, 0u);
 }
@@ -193,8 +199,9 @@ TEST(TraceSubscription, ConcurrentDrainsDeliverEverySeqExactlyOnce) {
   }
   std::vector<std::uint64_t> seqs;
   std::uint64_t horizon = 0;
+  TraceSubscription::Batch batch;
   while (seqs.size() < std::size_t(kThreads) * kPerThread) {
-    const auto batch = sub->drain();
+    sub->drain(batch);
     EXPECT_EQ(batch.dropped, 0u);
     EXPECT_GE(batch.stable_before, horizon);  // horizons only advance
     for (const auto& e : batch.events) seqs.push_back(e.seq);

@@ -340,15 +340,24 @@ TEST(GroupCommit, SyncCommitNeverReportsBeforeItsLsnIsDurable) {
   // The contract behind CommitWait::kSync: by the time commit() returns, the
   // device's durable frontier covers the transaction's commit record.  Check
   // it from inside the racing threads, where a violation would actually bite.
+  // Half the fsync attempts fail: a failed flush must never advance the
+  // lock-free frontier that already-covered committers return on.
   LogDevice log;
   log.set_fsync_latency(std::chrono::microseconds(200));
+  FaultSpec spec;
+  spec.fsync_fail = 0.5;
+  spec.max_consecutive_fsync_fails = 3;
+  FaultInjector inj(11, spec);
+  log.set_fault_injector(&inj, 0);
   Database db(wal_options(&log));
-  for (int k = 0; k < 4; ++k) db.load(k, 0);
+  constexpr int kThreads = 4;
+  constexpr int kCommitsPerThread = 20;
+  for (int k = 0; k < kThreads; ++k) db.load(k, 0);
   std::atomic<bool> violated{false};
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (int i = 0; i < 20; ++i) {
+      for (int i = 0; i < kCommitsPerThread; ++i) {
         Txn txn = db.begin(TxnKind::Update, EpsilonSpec::serializable());
         ASSERT_TRUE(txn.add(t, 1).ok());
         ASSERT_TRUE(txn.commit().ok());
@@ -358,6 +367,93 @@ TEST(GroupCommit, SyncCommitNeverReportsBeforeItsLsnIsDurable) {
   }
   for (auto& th : threads) th.join();
   EXPECT_FALSE(violated.load());
+  EXPECT_GT(log.fsync_failures(), 0u);
+
+  // Exact stats with the fast path: every sync commit counted once, and
+  // the ones that did not piggyback each led at least one flush.
+  constexpr std::uint64_t kCommits = kThreads * kCommitsPerThread;
+  const GroupCommitStats gs = db.group_committer()->stats();
+  EXPECT_EQ(gs.sync_commits, kCommits);
+  EXPECT_LE(gs.batched, kCommits);
+  EXPECT_LE(gs.sync_commits - gs.batched, gs.flushes);
+
+  // Everything acknowledged survives a torn tail.
+  log.tear_to_durable();
+  const RecoveryResult r = db.recover_from_wal();
+  EXPECT_EQ(r.committed_txns, kCommits);
+  for (int k = 0; k < kThreads; ++k) {
+    EXPECT_EQ(db.store().read_committed(k).value(), kCommitsPerThread);
+  }
+}
+
+TEST(GroupCommit, ConcurrentCommitsAppendContiguousRunsCommitLast) {
+  // Each commit reaches the log in one append: its after-images and its
+  // commit record occupy consecutive LSNs, commit record last, however many
+  // committers interleave.
+  LogDevice log;
+  Database db(wal_options(&log));
+  constexpr int kThreads = 4;
+  constexpr int kCommitsPerThread = 50;
+  constexpr int kKeysPerTxn = 3;
+  for (int k = 0; k < kThreads * kKeysPerTxn; ++k) db.load(k, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCommitsPerThread; ++i) {
+        Txn txn = db.begin(TxnKind::Update, EpsilonSpec::serializable());
+        for (int j = 0; j < kKeysPerTxn; ++j) {
+          ASSERT_TRUE(txn.add(t * kKeysPerTxn + j, 1).ok());
+        }
+        ASSERT_TRUE(txn.add(t * kKeysPerTxn, 1).ok());  // rewrite: one image
+        ASSERT_TRUE(txn.commit().ok());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const std::vector<LogRecord> recs = log.records();
+  std::size_t commits = 0;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (recs[i].type != LogRecordType::kCommit) continue;
+    ++commits;
+    ASSERT_GE(i, std::size_t(kKeysPerTxn));
+    const TxnId txn = recs[i].txn;
+    for (int j = 1; j <= kKeysPerTxn; ++j) {
+      const LogRecord& w = recs[i - j];
+      EXPECT_EQ(w.type, LogRecordType::kWrite);
+      EXPECT_EQ(w.txn, txn);
+      EXPECT_EQ(w.lsn, recs[i].lsn - std::uint64_t(j));
+    }
+    // The run is exactly this transaction's: the record before it is not.
+    if (i > std::size_t(kKeysPerTxn)) {
+      EXPECT_NE(recs[i - kKeysPerTxn - 1].txn, txn);
+    }
+  }
+  EXPECT_EQ(commits, std::size_t(kThreads) * kCommitsPerThread);
+  EXPECT_EQ(recs.size(), commits * (kKeysPerTxn + 1));
+}
+
+TEST(LogDevice, PrepareAppendsAfterImagesThenThePrepareRecord) {
+  LogDevice log;
+  Database db(wal_options(&log));
+  db.load(1, 10);
+  db.load(2, 20);
+  Txn t = db.begin(TxnKind::Update, EpsilonSpec::serializable());
+  ASSERT_TRUE(t.add(1, 5).ok());
+  ASSERT_TRUE(t.write(2, 7).ok());
+  t.log_prepare();
+  const std::vector<LogRecord> recs = log.records();
+  ASSERT_EQ(recs.size(), 3u);
+  EXPECT_EQ(recs[0].type, LogRecordType::kWrite);
+  EXPECT_EQ(recs[0].key, 1u);
+  EXPECT_EQ(recs[0].value, 15);
+  EXPECT_EQ(recs[1].type, LogRecordType::kWrite);
+  EXPECT_EQ(recs[1].key, 2u);
+  EXPECT_EQ(recs[1].value, 7);
+  EXPECT_EQ(recs[2].type, LogRecordType::kPrepare);
+  EXPECT_EQ(recs[2].lsn, recs[0].lsn + 2);
+  EXPECT_GE(log.durable_lsn(), recs[2].lsn);  // the vote is stable
+  ASSERT_TRUE(t.commit().ok());
 }
 
 TEST(GroupCommit, CrashLosesOnlyCommitsNotYetDurable) {

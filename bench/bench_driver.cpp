@@ -2,8 +2,8 @@
 // thread counts {1, 2, 4, 8}, with machine-readable output.
 //
 // Where the individual bench_* binaries each print one human-oriented table,
-// this driver runs the same scenario configurations under one roof and emits
-// two JSON artifacts in the schema documented in docs/BENCH_SCHEMA.md:
+// this driver runs its scenario configurations under one roof and emits two
+// JSON artifacts in the schema documented in docs/BENCH_SCHEMA.md:
 //
 //   * BENCH_scaling.json -- every (scenario, method, threads) run;
 //   * BENCH_table1.json  -- the Table-1 method matrix (banking scenario at
@@ -34,7 +34,7 @@
 // snapshot (taken before the run's Database dies, so the retired epsilon-
 // budget roll-ups and the stripe heatmap are populated) is embedded in each
 // run's JSON record as the "metrics" block, and with --certify the online
-// certifier's stats as the "online_cert" block -- schema v3,
+// certifier's stats as the "online_cert" block -- schema v5,
 // docs/BENCH_SCHEMA.md.
 #include <csignal>
 #include <cstdio>
@@ -77,9 +77,9 @@ struct Scenario {
   CommitWait commit_wait = CommitWait::kSync;
 };
 
-/// The scenario set mirrors the standalone benches so their tables and the
-/// JSON artifacts describe the same workloads (configs kept in sync by hand;
-/// the source bench is named on each block).
+/// The scenario set: the paper's banking mix, the multi-hop distribution
+/// ablation, a query-heavy CC-vs-DC cell, a crossover cell (configs kept in
+/// sync by hand with bench_method_crossover) and a group-commit cell.
 std::vector<Scenario> make_scenarios(bool quick) {
   std::vector<Scenario> out;
 
@@ -101,7 +101,7 @@ std::vector<Scenario> make_scenarios(bool quick) {
     out.push_back(s);
   }
 
-  {  // bench_fig2_dynamic at hops=2: multi-hop transfers, Method 3 policies.
+  {  // Multi-hop transfers at hops=2: Method 3, static vs dynamic policy.
     Scenario s;
     s.name = "multihop";
     s.cfg.branches = 2;
@@ -120,7 +120,7 @@ std::vector<Scenario> make_scenarios(bool quick) {
     out.push_back(s);
   }
 
-  {  // bench_dc_vs_cc at eps=800: query-heavy mix, unchopped baselines.
+  {  // Query-heavy mix at eps=800: unchopped CC vs DC.
      // Think time is lighter than the other scenarios on purpose: this cell
      // measures the store's snapshot-read path, and at the default
      // 100-300us/op the 8-thread run saturates on simulated think time
@@ -142,8 +142,7 @@ std::vector<Scenario> make_scenarios(bool quick) {
     s.cfg.query_epsilon = 800;
     s.instances = quick ? 100 : 300;
     s.seed = 5150;
-    s.methods = {MethodConfig::baseline_sr(), MethodConfig::baseline_dc(),
-                 MethodConfig::baseline_odc()};
+    s.methods = {MethodConfig::baseline_sr(), MethodConfig::baseline_dc()};
     out.push_back(s);
   }
 
@@ -295,11 +294,11 @@ void append_metrics_json(std::string& out, const obs::MetricsSnapshot& m,
     std::snprintf(
         buf, sizeof buf,
         "%s{\"acquires\": %.0f, \"waits\": %.0f, \"deadlocks\": %.0f, "
-        "\"timeouts\": %.0f, \"fuzzy_grants\": %.0f, \"max_waiters\": %.0f, "
+        "\"timeouts\": %.0f, \"max_waiters\": %.0f, "
         "\"acquire_us_p50\": %.3g, \"acquire_us_p95\": %.3g}",
         i == 0 ? "" : ", ", mval(m, p + "acquires"), mval(m, p + "waits"),
         mval(m, p + "deadlocks"), mval(m, p + "timeouts"),
-        mval(m, p + "fuzzy_grants"), mval(m, p + "max_waiters"),
+        mval(m, p + "max_waiters"),
         lat != nullptr ? lat->summary.p50 : 0,
         lat != nullptr ? lat->summary.p95 : 0);
     out += buf;
@@ -355,12 +354,11 @@ void append_run_json(std::string& out, const RunRecord& r,
   out += buf;
   std::snprintf(
       buf, sizeof buf,
-      "%s \"deadlock_aborts\": %llu, \"epsilon_aborts\": %llu, "
+      "%s \"deadlock_aborts\": %llu, "
       "\"resubmissions\": %llu, \"steals\": %llu, \"wall_seconds\": %.4f,\n"
       "%s \"certified\": {\"esr_ok\": %s, \"sr_checked\": %s, \"sr_ok\": "
       "%s},\n",
       indent, (unsigned long long)rep.deadlock_aborts,
-      (unsigned long long)rep.epsilon_aborts,
       (unsigned long long)rep.resubmissions, (unsigned long long)rep.steals,
       rep.wall_seconds, indent, r.esr_ok ? "true" : "false",
       r.sr_checked ? "true" : "false",
@@ -397,7 +395,7 @@ void append_run_json(std::string& out, const RunRecord& r,
 void write_json(const std::string& path, const std::string& sha, bool quick,
                 const std::vector<const RunRecord*>& runs) {
   std::string out = "{\n";
-  out += "  \"schema_version\": 4,\n";
+  out += "  \"schema_version\": 5,\n";
   out += "  \"generated_by\": \"bench_driver\",\n";
   out += "  \"git_sha\": \"" + json_escape(sha) + "\",\n";
   out += std::string("  \"quick\": ") + (quick ? "true" : "false") + ",\n";

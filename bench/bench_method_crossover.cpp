@@ -5,13 +5,15 @@
 // control wins", while Method 3 combines both advantages.  We sweep the two
 // axes that decide the outcome:
 //
-//   * audit pressure (fraction of queries in the mix) -- favours DC methods,
-//     since queries are who import fuzziness;
-//   * chop-friendliness (whether the stream lets SR keep transfers chopped:
-//     audits present -> no; audit-free -> yes) -- favours chopped methods,
-//     since pieces shorten lock holding.
+//   * audit pressure (fraction of queries in the mix) -- audits close
+//     SC-cycles through chopped transfers, so SR-chopping keeps them whole;
+//   * the eps budget against the conflict bound -- an ESR-chop survives only
+//     while Z^is fits Limit_t (Definition 1, Eq. 6).
 //
-// Cells print throughput; the per-row winner shows the crossover.
+// Queries read snapshots under both schedulers, so CC vs DC moves the audit
+// error, not throughput; chopping (shorter lock holding for updates) is what
+// the cells measure.  Cells print throughput; the per-row winner is the
+// fastest cell of one run, and single runs are noisy.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -78,10 +80,10 @@ int main() {
   }
 
   std::printf(
-      "\nexpected shape: without audits every chopped method ties (chopping\n"
-      "is the whole win, DC has nothing to do); with audits SR-chopping\n"
-      "degenerates, so Method 1 tracks the DC baseline and Methods 2/3 pull\n"
-      "ahead; with tight eps the DC advantage shrinks (budgets block) and\n"
-      "ESR-chop+CC (Method 2) competes; Method 3 is never worse than both.\n");
+      "\nexpected shape: without audits every chopped method ties far ahead\n"
+      "of the unchopped baselines (chopping is the whole win); with audits\n"
+      "SR-chopping degenerates to the unchopped baselines, and the\n"
+      "ESR-chopped Methods 2 and 3 lead wherever their chop survives; CC vs\n"
+      "DC changes the audit error, not throughput, so Methods 2 and 3 tie.\n");
   return 0;
 }

@@ -24,10 +24,9 @@ namespace {
 
 void BM_LockAcquireReleaseUncontended(benchmark::State& state) {
   LockManager locks;
-  NeverFuzzyResolver cc;
   TxnId txn = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(locks.acquire(txn, 1, LockMode::Exclusive, cc));
+    benchmark::DoNotOptimize(locks.acquire(txn, 1, LockMode::Exclusive));
     locks.release_all(txn);
     ++txn;
   }
@@ -36,10 +35,9 @@ BENCHMARK(BM_LockAcquireReleaseUncontended);
 
 void BM_LockSharedReentrant(benchmark::State& state) {
   LockManager locks;
-  NeverFuzzyResolver cc;
-  (void)locks.acquire(1, 1, LockMode::Shared, cc);
+  (void)locks.acquire(1, 1, LockMode::Shared);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(locks.acquire(1, 1, LockMode::Shared, cc));
+    benchmark::DoNotOptimize(locks.acquire(1, 1, LockMode::Shared));
   }
 }
 BENCHMARK(BM_LockSharedReentrant);
@@ -50,7 +48,6 @@ void BM_ReleaseAll(benchmark::State& state) {
   // arg 0 through kAllStripes (the full sixteen-stripe sweep), so the
   // difference is what the mask saves per ET.
   LockManager locks;
-  NeverFuzzyResolver cc;
   const Key a = 1, b = 2;
   const LockManager::StripeMask mask =
       state.range(0) != 0
@@ -59,8 +56,8 @@ void BM_ReleaseAll(benchmark::State& state) {
           : LockManager::kAllStripes;
   TxnId txn = 1;
   for (auto _ : state) {
-    (void)locks.acquire(txn, a, LockMode::Exclusive, cc);
-    (void)locks.acquire(txn, b, LockMode::Exclusive, cc);
+    (void)locks.acquire(txn, a, LockMode::Exclusive);
+    (void)locks.acquire(txn, b, LockMode::Exclusive);
     locks.release_all(txn, mask);
     ++txn;
   }

@@ -40,17 +40,11 @@ namespace atp::bench {
   return percentile_of(samples, q);
 }
 
-/// Median convenience (benches report medians of repeated runs).
-[[nodiscard]] inline double median(std::vector<double> samples) {
-  return percentile(std::move(samples), 0.5);
-}
-
 struct LocalRunConfig {
   std::size_t workers = 8;
   std::uint64_t seed = 20260705;
   std::uint64_t op_delay_min_us = 100;
   std::uint64_t op_delay_max_us = 300;
-  std::chrono::milliseconds lock_timeout{2000};
   Tracer* tracer = nullptr;  ///< optional: certifier-grade event capture
   /// Optional metrics registry the run's Database + Executor publish into
   /// (live scrapes via an ObsServer pointed at it, final snapshot below).
@@ -79,7 +73,7 @@ inline ExecutorReport run_local(const Workload& w, MethodConfig method,
     r.method_name = method.name() + " (PLAN FAILED)";
     return r;
   }
-  DatabaseOptions dbo = Executor::database_options(method, cfg.lock_timeout);
+  DatabaseOptions dbo = Executor::database_options(method);
   dbo.tracer = cfg.tracer;
   dbo.metrics = cfg.metrics;
   if (cfg.wal != nullptr) {

@@ -81,7 +81,7 @@ class SnapshotBuilder;
 
 struct OnlineCertifierOptions {
   /// Check conflict-serializability.  On for CC-scheduled databases; leave
-  /// off under DC/ODC, where fuzzy reads make ET-level SR cycles the
+  /// off under DC, where fuzzy reads make ET-level SR cycles the
   /// *paid-for* divergence (ESR is the contract being certified there).
   bool check_sr = true;
   /// Replay the fuzziness ledger against each ET's eps-spec.

@@ -211,11 +211,8 @@ struct RunMetrics {
   Counter committed_txns;       // original transactions fully committed
   Counter committed_pieces;     // pieces committed (== txns when unchopped)
   Counter aborts_deadlock;      // aborts due to deadlock victimhood
-  Counter aborts_epsilon;       // aborts/rollbacks due to fuzziness overrun
   Counter aborts_rollback;      // programmed rollback statements taken
   Counter resubmissions;        // piece re-runs by the process handler
-  Counter lock_waits;           // times a request had to block
-  Counter fuzzy_grants;         // DC grants that plain 2PL would have blocked
   Histogram txn_latency_us;     // whole original-transaction response time
   Histogram piece_latency_us;   // per-piece response time
   Histogram txn_fuzziness;      // Z_t of committed query ETs
@@ -225,11 +222,8 @@ struct RunMetrics {
     committed_txns.reset();
     committed_pieces.reset();
     aborts_deadlock.reset();
-    aborts_epsilon.reset();
     aborts_rollback.reset();
     resubmissions.reset();
-    lock_waits.reset();
-    fuzzy_grants.reset();
     txn_latency_us.reset();
     piece_latency_us.reset();
     txn_fuzziness.reset();

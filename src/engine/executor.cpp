@@ -26,7 +26,6 @@ std::string ExecutorReport::header() {
       << std::setw(9) << "rollbk"                              //
       << std::setw(9) << "resub"                               //
       << std::setw(9) << "dlock"                               //
-      << std::setw(9) << "eps"                                 //
       << std::setw(11) << "tps"                                //
       << std::setw(12) << "p50(us)"                            //
       << std::setw(12) << "p95(us)"                            //
@@ -43,7 +42,6 @@ std::string ExecutorReport::row() const {
       << std::setw(9) << rolled_back                              //
       << std::setw(9) << resubmissions                            //
       << std::setw(9) << deadlock_aborts                          //
-      << std::setw(9) << epsilon_aborts                           //
       << std::setw(11) << std::fixed << std::setprecision(1)
       << throughput_tps                                           //
       << std::setw(12) << std::setprecision(0) << latency_us.p50  //
@@ -126,7 +124,6 @@ ExecutorReport Executor::run(Database& db, const ExecutionPlan& plan,
                 double(metrics.committed_pieces.get()));
       b.counter("exec.resubmissions", double(metrics.resubmissions.get()));
       b.counter("exec.deadlock_aborts", double(metrics.aborts_deadlock.get()));
-      b.counter("exec.epsilon_aborts", double(metrics.aborts_epsilon.get()));
       b.counter("exec.rollbacks", double(metrics.aborts_rollback.get()));
       b.counter("exec.steals",  // relaxed-ok: monotone stat snapshot
                 double(steals.load(std::memory_order_relaxed)));
@@ -216,7 +213,6 @@ ExecutorReport Executor::run(Database& db, const ExecutionPlan& plan,
   report.committed_pieces = metrics.committed_pieces.get();
   report.resubmissions = metrics.resubmissions.get();
   report.deadlock_aborts = metrics.aborts_deadlock.get();
-  report.epsilon_aborts = metrics.aborts_epsilon.get();
   report.budget_violations = budget_violations.load();
   report.steals = steals.load();
   report.lock_stats = db.locks().stats();

@@ -52,7 +52,6 @@ struct ExecutorReport {
   std::uint64_t committed_pieces = 0;
   std::uint64_t resubmissions = 0;     ///< piece re-runs by the handler
   std::uint64_t deadlock_aborts = 0;
-  std::uint64_t epsilon_aborts = 0;
   std::uint64_t budget_violations = 0;  ///< committed txns with Z_t > Limit_t
   std::uint64_t steals = 0;             ///< batches taken from another worker
   LockStats lock_stats;

@@ -43,11 +43,6 @@ struct MethodConfig {
   [[nodiscard]] static MethodConfig baseline_dc() noexcept {
     return {ChopMode::None, SchedulerKind::DC, DistPolicy::Static};
   }
-  /// Optimistic divergence control ablation: lock-free queries validated at
-  /// commit, 2PL updates.
-  [[nodiscard]] static MethodConfig baseline_odc() noexcept {
-    return {ChopMode::None, SchedulerKind::ODC, DistPolicy::Static};
-  }
   /// Shasha et al.: SR-chopping under plain concurrency control.
   [[nodiscard]] static MethodConfig sr_chop_cc() noexcept {
     return {ChopMode::SR, SchedulerKind::CC, DistPolicy::Static};

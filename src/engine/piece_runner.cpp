@@ -113,12 +113,9 @@ PieceRunner::PieceOutcome PieceRunner::run_one_piece(
     if (failure.ok()) {
       Status c = txn.commit();
       if (!c.ok()) {
-        // Optimistic divergence control may refuse at validation time;
-        // treat like any other abort and resubmit.
+        // The crash-epoch guard is the only refusal left at commit (the
+        // site crashed under this piece); resubmit like any other abort.
         assert(c.is_abort());
-        if (metrics_ && c.code() == ErrorCode::kEpsilonExceeded) {
-          metrics_->aborts_epsilon.add();
-        }
         txn.abort();  // no-op if commit() already aborted
         continue;
       }
@@ -134,20 +131,12 @@ PieceRunner::PieceOutcome PieceRunner::run_one_piece(
     }
 
     txn.abort();
-    if (metrics_) {
-      switch (failure.code()) {
-        case ErrorCode::kDeadlock:
-          metrics_->aborts_deadlock.add();
-          break;
-        case ErrorCode::kEpsilonExceeded:
-          metrics_->aborts_epsilon.add();
-          break;
-        default:
-          break;  // timeouts counted via lock stats
-      }
+    // Timeouts are counted via lock stats.
+    if (metrics_ && failure.code() == ErrorCode::kDeadlock) {
+      metrics_->aborts_deadlock.add();
     }
-    // Lock-conflict/deadlock/epsilon aborts: resubmit until commit (the
-    // paper's process-handler behaviour).
+    // Lock-conflict/deadlock aborts: resubmit until commit (the paper's
+    // process-handler behaviour).
   }
 }
 

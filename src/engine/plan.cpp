@@ -115,11 +115,10 @@ Result<ExecutionPlan> ExecutionPlan::build(std::vector<TxnProgram> type_stream,
     }
     tp.z_is = graph.inter_sibling_fuzziness(t);
 
-    // Eq. 6: under divergence control (pessimistic or optimistic), the
-    // budget handed to the scheduler must reserve Z^is for the fuzziness the
-    // ESR-chopping itself admits.
+    // Eq. 6: under divergence control, the budget handed to the scheduler
+    // must reserve Z^is for the fuzziness the ESR-chopping itself admits.
     Value dc_limit = tp.type.epsilon_limit;
-    if (method.sched != SchedulerKind::CC && method.chop == ChopMode::ESR) {
+    if (method.sched == SchedulerKind::DC && method.chop == ChopMode::ESR) {
       dc_limit -= tp.z_is;
       if (dc_limit < 0) dc_limit = 0;  // Def. 1 cond 3 guarantees >= 0
     }

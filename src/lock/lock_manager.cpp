@@ -10,8 +10,7 @@ LockManager::LockManager(std::chrono::milliseconds default_timeout)
   for (auto& sp : stripes_) sp = std::make_unique<Stripe>();
 }
 
-Status LockManager::acquire(TxnId txn, Key key, LockMode mode,
-                            ConflictResolver& resolver) {
+Status LockManager::acquire(TxnId txn, Key key, LockMode mode) {
   Stripe& s = stripe_of(key);
 #if defined(ATP_OBS_ENABLED)
   // Sampled latency probe: the acquires counter doubles as the sampling
@@ -21,18 +20,18 @@ Status LockManager::acquire(TxnId txn, Key key, LockMode mode,
       s.acquires.fetch_add(1, std::memory_order_relaxed);
   if ((n & ((1u << kLatencySampleShift) - 1)) == 0) {
     const auto t0 = std::chrono::steady_clock::now();
-    const Status st = acquire_impl(txn, key, mode, resolver, s);
+    const Status st = acquire_impl(txn, key, mode, s);
     const auto dt = std::chrono::duration_cast<std::chrono::nanoseconds>(
         std::chrono::steady_clock::now() - t0);
     s.acquire_us.record(double(dt.count()) / 1e3);
     return st;
   }
 #endif
-  return acquire_impl(txn, key, mode, resolver, s);
+  return acquire_impl(txn, key, mode, s);
 }
 
 Status LockManager::acquire_impl(TxnId txn, Key key, LockMode mode,
-                                 ConflictResolver& resolver, Stripe& s) {
+                                 Stripe& s) {
   std::unique_lock lock(s.mu);
   Queue& q = s.queues[key];
 
@@ -60,11 +59,10 @@ Status LockManager::acquire_impl(TxnId txn, Key key, LockMode mode,
       cleanup();
       return Status::Aborted("lock wait cancelled");
     }
-    self.waits_for.clear();
-    // Always pass &self: before queueing, every queued waiter counts as
-    // "ahead", and the waits-for edges must land in self for the deadlock
-    // DFS that runs right after.
-    if (evaluate(txn, key, mode, resolver, s, q, &self) == Decision::Granted) {
+    // Before queueing, every queued waiter counts as "ahead", and the
+    // waits-for edges land in self for the deadlock DFS that runs right
+    // after.
+    if (evaluate(key, s, q, self) == Decision::Granted) {
       cleanup();
       return Status::Ok();
     }
@@ -91,9 +89,7 @@ Status LockManager::acquire_impl(TxnId txn, Key key, LockMode mode,
     }
     if (s.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
       // Re-evaluate once after timeout in case a grant raced the clock.
-      self.waits_for.clear();
-      if (evaluate(txn, key, mode, resolver, s, q, &self) ==
-          Decision::Granted) {
+      if (evaluate(key, s, q, self) == Decision::Granted) {
         cleanup();
         return Status::Ok();
       }
@@ -106,55 +102,34 @@ Status LockManager::acquire_impl(TxnId txn, Key key, LockMode mode,
   }
 }
 
-LockManager::Decision LockManager::evaluate(TxnId txn, Key key, LockMode mode,
-                                            ConflictResolver& resolver,
-                                            Stripe& s, Queue& q,
-                                            Waiter* self) {
+LockManager::Decision LockManager::evaluate(Key key, Stripe& s, Queue& q,
+                                            Waiter& self) {
+  const TxnId txn = self.txn;
+  const LockMode mode = self.mode;
   const bool holds_any =
       std::any_of(q.holders.begin(), q.holders.end(),
                   [&](const LockHolder& h) { return h.txn == txn; });
 
-  std::unordered_set<TxnId>* waits_for = self ? &self->waits_for : nullptr;
-  std::unordered_set<TxnId> scratch;
-  if (!waits_for) waits_for = &scratch;
+  self.waits_for.clear();
 
   // FIFO fairness: a request must not overtake an incompatible waiter that
-  // arrived earlier -- unless the pair is fuzzy-eligible (divergence control
-  // should never queue a query behind an update it could pass), or the
-  // requester is upgrading (it holds the lock the waiter needs anyway).
-  bool blocked = false;
+  // arrived earlier -- unless the requester is upgrading (it holds the lock
+  // the waiter needs anyway).
   if (!holds_any) {
     for (const Waiter* w : q.waiters) {
-      if (w == self) break;  // only waiters ahead of us
+      if (w == &self) break;  // only waiters ahead of us
       if (w->txn == txn) continue;
-      if (compatible(w->mode, mode)) continue;
-      if (resolver.eligible_pair(txn, mode, w->txn, w->mode)) continue;
-      blocked = true;
-      waits_for->insert(w->txn);
+      if (!compatible(w->mode, mode)) self.waits_for.insert(w->txn);
     }
   }
-
-  std::vector<LockHolder> conflicting;
   for (const LockHolder& h : q.holders) {
     if (h.txn == txn) continue;  // own S lock never blocks own upgrade
-    if (!compatible(h.mode, mode)) conflicting.push_back(h);
+    if (!compatible(h.mode, mode)) self.waits_for.insert(h.txn);
   }
 
-  if (blocked) {
-    for (const LockHolder& h : conflicting) waits_for->insert(h.txn);
-    return Decision::Blocked;
-  }
-  if (conflicting.empty()) {
-    grant(txn, key, mode, /*fuzzy=*/false, s, q);
-    return Decision::Granted;
-  }
-  if (resolver.try_fuzzy_grant(txn, mode, key, conflicting)) {
-    ++s.stats.fuzzy_grants;
-    grant(txn, key, mode, /*fuzzy=*/true, s, q);
-    return Decision::Granted;
-  }
-  for (const LockHolder& h : conflicting) waits_for->insert(h.txn);
-  return Decision::Blocked;
+  if (!self.waits_for.empty()) return Decision::Blocked;
+  grant(txn, key, mode, s, q);
+  return Decision::Granted;
 }
 
 bool LockManager::publish_and_check_deadlock(TxnId from, const Waiter& self) {
@@ -182,19 +157,17 @@ void LockManager::retract_wait_edges(TxnId txn) {
   wait_edges_.erase(txn);
 }
 
-void LockManager::grant(TxnId txn, Key key, LockMode mode, bool fuzzy,
-                        Stripe& s, Queue& q) {
+void LockManager::grant(TxnId txn, Key key, LockMode mode, Stripe& s,
+                        Queue& q) {
   Tracer::emit(tracer_, TraceKind::LockAcquire, site_, txn, key, 0, 0,
-               (mode == LockMode::Exclusive ? kTraceModeExclusive : 0) |
-                   (fuzzy ? kTraceGrantFuzzy : 0));
+               mode == LockMode::Exclusive ? kTraceModeExclusive : 0);
   for (LockHolder& h : q.holders) {
     if (h.txn == txn) {  // upgrade in place
       h.mode = LockMode::Exclusive;
-      h.fuzzy = h.fuzzy || fuzzy;
       return;
     }
   }
-  q.holders.push_back(LockHolder{txn, mode, fuzzy});
+  q.holders.push_back(LockHolder{txn, mode});
   s.held_keys[txn].push_back(key);
 }
 
@@ -262,7 +235,6 @@ LockStats LockManager::stats() const {
     total.waits += sp->stats.waits;
     total.deadlocks += sp->stats.deadlocks;
     total.timeouts += sp->stats.timeouts;
-    total.fuzzy_grants += sp->stats.fuzzy_grants;
   }
   return total;
 }

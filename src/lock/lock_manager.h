@@ -1,12 +1,10 @@
-// Two-phase-locking lock manager with pluggable conflict resolution,
-// sharded into independently-locked stripes.
+// Strict two-phase-locking lock manager, sharded into independently-locked
+// stripes.
 //
-// Classic strict 2PL concurrency control and 2PL divergence control (Wu, Yu,
-// Pu, ICDE'92) differ *only* in how they handle read-write conflicts between
-// query ETs and update ETs: CC always blocks; DC may grant anyway while
-// charging import/export fuzziness, blocking only when an epsilon budget
-// would be exceeded.  We factor that single decision into a ConflictResolver
-// so one lock manager serves both schedulers.
+// Only update ETs enter the lock table: CC queries read an MVCC snapshot and
+// DC queries read through DcResolver::read_fresh, so no query/update conflict
+// is ever decided here and both schedulers run updates under plain strict
+// 2PL.
 //
 // Scalability: the lock table is partitioned into N stripes keyed by
 // hash(key) % N.  Each stripe owns its mutex, condition variable, wait
@@ -42,7 +40,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -70,50 +67,12 @@ enum class LockMode : std::uint8_t { Shared, Exclusive };
 struct LockHolder {
   TxnId txn = kInvalidTxn;
   LockMode mode = LockMode::Shared;
-  bool fuzzy = false;  ///< granted past a conflict by divergence control
-};
-
-/// Decides whether a mode-incompatible request may be granted anyway.
-///
-/// Implementations: CC returns false everywhere (pure 2PL); DC grants
-/// query/update read-write conflicts within epsilon budgets (and performs the
-/// fuzziness charging as a side effect of try_fuzzy_grant).
-class ConflictResolver {
- public:
-  virtual ~ConflictResolver() = default;
-
-  /// May `requester` (wanting `mode` on `key`) be granted despite the
-  /// conflicting holders?  Called with the key's stripe mutex held; must not
-  /// call back into the lock manager.  On true, any fuzziness charges have
-  /// been applied atomically.
-  virtual bool try_fuzzy_grant(TxnId requester, LockMode mode, Key key,
-                               std::span<const LockHolder> conflicting) = 0;
-
-  /// Is the (requester, other) pair *eligible in principle* for a fuzzy
-  /// grant (i.e. a query/update read-write pair)?  Used to decide whether a
-  /// conflicting waiter ahead in the queue should block this request for
-  /// fairness; no charging happens.
-  virtual bool eligible_pair(TxnId requester, LockMode requester_mode,
-                             TxnId other, LockMode other_mode) = 0;
-};
-
-/// Pure 2PL: never grant past a conflict.
-class NeverFuzzyResolver final : public ConflictResolver {
- public:
-  bool try_fuzzy_grant(TxnId, LockMode, Key,
-                       std::span<const LockHolder>) override {
-    return false;
-  }
-  bool eligible_pair(TxnId, LockMode, TxnId, LockMode) override {
-    return false;
-  }
 };
 
 struct LockStats {
-  std::uint64_t waits = 0;        // requests that blocked at least once
-  std::uint64_t deadlocks = 0;    // requests refused as deadlock victims
-  std::uint64_t timeouts = 0;     // requests that timed out waiting
-  std::uint64_t fuzzy_grants = 0; // conflicts granted by the resolver
+  std::uint64_t waits = 0;      // requests that blocked at least once
+  std::uint64_t deadlocks = 0;  // requests refused as deadlock victims
+  std::uint64_t timeouts = 0;   // requests that timed out waiting
 };
 
 /// Per-stripe observability snapshot (stripe_stats()): the contention
@@ -158,11 +117,10 @@ class LockManager {
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
 
-  /// Acquire `mode` on `key` for `txn`.  Blocks (honouring FIFO fairness and
-  /// the resolver) until granted, deadlock, or timeout.  Re-entrant: if txn
-  /// already holds a mode covering the request this is a no-op; S->X upgrade
-  /// is supported.
-  Status acquire(TxnId txn, Key key, LockMode mode, ConflictResolver& resolver);
+  /// Acquire `mode` on `key` for `txn`.  Blocks (honouring FIFO fairness)
+  /// until granted, deadlock, or timeout.  Re-entrant: if txn already holds
+  /// a mode covering the request this is a no-op; S->X upgrade is supported.
+  Status acquire(TxnId txn, Key key, LockMode mode);
 
   /// Release every lock txn holds and cancel any pending wait.  Idempotent.
   /// Only the stripes in `stripes` are visited: it must include every
@@ -244,8 +202,7 @@ class LockManager {
 
   // The un-instrumented acquire body (acquire() wraps it with the sampled
   // latency probe).
-  Status acquire_impl(TxnId txn, Key key, LockMode mode,
-                      ConflictResolver& resolver, Stripe& s);
+  Status acquire_impl(TxnId txn, Key key, LockMode mode, Stripe& s);
 
   [[nodiscard]] Stripe& stripe_of(Key key) const noexcept {
     return *stripes_[stripe_index(key)];
@@ -253,11 +210,10 @@ class LockManager {
 
   enum class Decision { Granted, Blocked };
 
-  // Evaluate whether the request can be granted now.  Fills waits_for with
-  // the blockers when not.  Caller holds the stripe mutex.
-  Decision evaluate(TxnId txn, Key key, LockMode mode,
-                    ConflictResolver& resolver, Stripe& s, Queue& q,
-                    Waiter* self);
+  // Evaluate whether self's request can be granted now; grants it if so,
+  // otherwise refills self.waits_for with the blockers (conflicting holders
+  // and incompatible waiters ahead).  Caller holds the stripe mutex.
+  Decision evaluate(Key key, Stripe& s, Queue& q, Waiter& self);
 
   // Publish `self`'s current wait edges to the global graph and check
   // whether they close a cycle back to `txn`.  Caller holds the stripe
@@ -267,8 +223,7 @@ class LockManager {
   // Remove txn's published wait edges (after grant/deadlock/timeout/cancel).
   void retract_wait_edges(TxnId txn);
 
-  void grant(TxnId txn, Key key, LockMode mode, bool fuzzy, Stripe& s,
-             Queue& q);
+  void grant(TxnId txn, Key key, LockMode mode, Stripe& s, Queue& q);
 
   std::array<std::unique_ptr<Stripe>, kStripes> stripes_;
 

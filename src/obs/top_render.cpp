@@ -218,9 +218,7 @@ std::string render_top(const MetricsSnapshot& now, const MetricsSnapshot* prev,
                                          std::to_string(hottest) + ".waits")) +
            unit + "  deadlocks " + fmt("%.6g", delta_of(now, prev,
                                                         hp + "deadlocks")) +
-           "  timeouts " + fmt("%.6g", delta_of(now, prev, hp + "timeouts")) +
-           "  fuzzy grants " +
-           fmt("%.6g", delta_of(now, prev, hp + "fuzzy_grants"));
+           "  timeouts " + fmt("%.6g", delta_of(now, prev, hp + "timeouts"));
     if (lat != nullptr && lat->summary.count > 0) {
       out += "  acq p50/p95 " + fmt("%.3g", lat->summary.p50) + "/" +
              fmt("%.3g", lat->summary.p95) + "us";

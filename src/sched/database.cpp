@@ -97,7 +97,6 @@ void collect_db_samples(const EtRegistry& registry, const LockManager& locks,
     out.counter(p + "waits", double(s.stats.waits));
     out.counter(p + "deadlocks", double(s.stats.deadlocks));
     out.counter(p + "timeouts", double(s.stats.timeouts));
-    out.counter(p + "fuzzy_grants", double(s.stats.fuzzy_grants));
     out.gauge(p + "waiters", double(s.waiters_now));
     out.counter(p + "max_waiters", double(s.max_waiters));
     out.histogram(p + "acquire_us", s.acquire_us);
@@ -181,12 +180,9 @@ Txn Database::begin(TxnKind kind, EpsilonSpec spec, TxnId parent,
   t.topts_ = topts;
   t.state_ = Txn::State::Active;
   t.crash_epoch_ = crash_epoch();
-  // Query ETs under CC/DC read versions at a snapshot pinned here; ODC
-  // queries stay optimistic (latest committed + drift validation) and
-  // update ETs read through their locks, so neither registers one.
-  const bool versioned_reader =
-      kind == TxnKind::Query && opts_.scheduler != SchedulerKind::ODC;
-  if (versioned_reader) {
+  // Query ETs read versions at a snapshot pinned here; update ETs read
+  // through their locks and register none.
+  if (kind == TxnKind::Query) {
     t.snapshot_ = store_.snapshot_acquire([&](std::uint64_t snap) {
       // Emitted inside the store's commit mutex: the trace interleaves
       // begins with commit publications in true commit-sequence order,
@@ -203,11 +199,6 @@ Txn Database::begin(TxnKind kind, EpsilonSpec spec, TxnId parent,
                  kind == TxnKind::Update ? 1 : 0, parent);
   }
   return t;
-}
-
-ConflictResolver& Database::resolver() noexcept {
-  if (opts_.scheduler == SchedulerKind::DC) return dc_resolver_;
-  return cc_resolver_;
 }
 
 void Database::crash(const std::unordered_set<TxnId>* survivors) {
@@ -327,7 +318,6 @@ Txn& Txn::operator=(Txn&& other) noexcept {
   dc_charged_ = std::move(other.dc_charged_);
   write_set_ = std::move(other.write_set_);
   lock_stripes_ = other.lock_stripes_;
-  read_log_ = std::move(other.read_log_);
   commit_hooks_ = std::move(other.commit_hooks_);
   abort_hooks_ = std::move(other.abort_hooks_);
   other.state_ = State::Invalid;
@@ -340,11 +330,6 @@ Txn::~Txn() {
   if (state_ == State::Active) abort();
 }
 
-bool Txn::optimistic() const noexcept {
-  return db_ != nullptr && db_->opts_.scheduler == SchedulerKind::ODC &&
-         kind_ == TxnKind::Query;
-}
-
 void Txn::release_snapshot() noexcept {
   if (has_snapshot_ && db_ != nullptr) {
     db_->store_.snapshot_release(snapshot_);
@@ -355,17 +340,6 @@ void Txn::release_snapshot() noexcept {
 Result<Value> Txn::read(Key key) {
   if (state_ != State::Active)
     return Status::FailedPrecondition("read on inactive txn");
-  if (optimistic()) {
-    // Optimistic divergence control: no lock, read the newest committed
-    // version and log it; commit() validates the accumulated drift against
-    // the import limit.
-    Result<VersionRead> v = db_->store_.read_latest_versioned(key);
-    if (!v.ok()) return v.status();
-    read_log_.emplace_back(key, v.value().value);
-    Tracer::emit(db_->opts_.tracer, TraceKind::Read, db_->opts_.site_id, id_,
-                 key, v.value().value, 0, v.value().seq + 1);
-    return v.value().value;
-  }
   if (kind_ == TxnKind::Query) {
     // Lock-free versioned read.  CC queries see exactly their snapshot (a
     // read-only snapshot transaction is serializable -- it serializes at
@@ -383,7 +357,7 @@ Result<Value> Txn::read(Key key) {
   }
   // Update ET: S lock, strict 2PL among updates.
   lock_stripes_ |= LockManager::stripe_bit(key);
-  Status s = db_->locks_.acquire(id_, key, LockMode::Shared, db_->resolver());
+  Status s = db_->locks_.acquire(id_, key, LockMode::Shared);
   if (!s.ok()) return s;
   // Holding S excludes every foreign writer, so a dirty value here can only
   // be our own staged write (we hold X too); it is traced with the own-write
@@ -413,8 +387,7 @@ Status Txn::write(Key key, Value value) {
   // wants to see past our commit pays from its own import budget when it
   // reads (DcResolver::read_fresh), priced off version timestamps.
   lock_stripes_ |= LockManager::stripe_bit(key);
-  Status s =
-      db_->locks_.acquire(id_, key, LockMode::Exclusive, db_->resolver());
+  Status s = db_->locks_.acquire(id_, key, LockMode::Exclusive);
   if (!s.ok()) return s;
   Status w = db_->store_.write(id_, key, value);
   if (!w.ok()) return w;
@@ -437,8 +410,7 @@ Status Txn::add(Key key, Value delta) {
     return Status::InvalidArgument("query ETs are read-only");
 
   lock_stripes_ |= LockManager::stripe_bit(key);
-  Status s =
-      db_->locks_.acquire(id_, key, LockMode::Exclusive, db_->resolver());
+  Status s = db_->locks_.acquire(id_, key, LockMode::Exclusive);
   if (!s.ok()) return s;
 
   Result<Value> old_latest = db_->store_.read_latest(key);
@@ -474,21 +446,6 @@ Status Txn::commit() {
     if (!survivor) {
       abort();
       return Status::Aborted("site crashed after this transaction began");
-    }
-  }
-  if (optimistic() && !read_log_.empty()) {
-    // Optimistic validation: total drift between what was read and what is
-    // committed now is the fuzziness this query imported.  Within limit ->
-    // charge and commit; beyond -> abort (the caller retries).
-    Value drift = 0;
-    for (const auto& [key, seen] : read_log_) {
-      drift += distance(db_->store_.read_committed(key).value_or(seen), seen);
-    }
-    if (!db_->registry_.try_self_import(id_, drift)) {
-      abort();
-      return Status::EpsilonExceeded(
-          "optimistic validation: drift " + std::to_string(drift) +
-          " exceeds the import limit");
     }
   }
   // Write-ahead discipline: after-images + the commit record are appended

@@ -2,8 +2,9 @@
 //
 // One Database instance is a "site" in the distributed layer or the whole
 // system in the centralized benches.  The scheduler policy (CC or DC) is
-// fixed at construction; it decides nothing except how read-write conflicts
-// between query and update ETs are resolved (see DcResolver).
+// fixed at construction; it decides nothing except how a query ET reads:
+// exactly its snapshot under CC, the freshest version its import budget
+// absorbs under DC (see DcResolver).  Update ETs run strict 2PL under both.
 //
 // Transactions are driven through the Txn handle:
 //
@@ -13,7 +14,7 @@
 //   Status s = t.commit();   // or t.abort()
 //
 // Any op may fail with an abort-class status (deadlock victim, lock timeout,
-// epsilon exceeded); the caller must then call abort().  Commit applies the
+// snapshot too old); the caller must then call abort().  Commit applies the
 // staged writes, rolls the piece's fuzziness Z_p up into its parent's Z_t
 // (Lemma 1), and releases all locks (strict 2PL).
 #pragma once
@@ -50,21 +51,14 @@ class ObsServer;
 }
 
 enum class SchedulerKind : std::uint8_t {
-  CC,   ///< strict two-phase locking concurrency control (serializable)
-  DC,   ///< two-phase locking divergence control (epsilon serializable)
-  ODC,  ///< optimistic divergence control for query ETs: queries read
-        ///< committed values without locks and validate at commit that the
-        ///< total drift |committed_now - read| fits the import limit,
-        ///< aborting (to retry) otherwise.  Update ETs run plain 2PL.
-        ///< One of the "various divergence control algorithms" of the DC
-        ///< papers the paper builds on; included as an ablation.
+  CC,  ///< strict two-phase locking concurrency control (serializable)
+  DC,  ///< two-phase locking divergence control (epsilon serializable)
 };
 
 inline const char* to_string(SchedulerKind k) noexcept {
   switch (k) {
     case SchedulerKind::CC: return "CC";
     case SchedulerKind::DC: return "DC";
-    case SchedulerKind::ODC: return "ODC";
   }
   return "?";
 }
@@ -129,7 +123,7 @@ class Txn {
   Txn& operator=(const Txn&) = delete;
   ~Txn();
 
-  /// Read a key.  Query ETs under CC/DC read versions at their snapshot
+  /// Read a key.  Query ETs read versions at their snapshot
   /// (DC upgrades to the freshest version when the import budget absorbs
   /// the divergence) and never touch the lock manager; update ETs take an
   /// S lock (2PL).  kAborted = snapshot too old: abort and retry the ET.
@@ -178,8 +172,8 @@ class Txn {
     return commit_lsn_;
   }
 
-  /// Version-store snapshot this ET reads at (query ETs under CC/DC only;
-  /// nullopt otherwise).
+  /// Version-store snapshot this ET reads at (query ETs only; nullopt
+  /// otherwise).
   [[nodiscard]] std::optional<std::uint64_t> snapshot() const noexcept {
     if (!has_snapshot_) return std::nullopt;
     return snapshot_;
@@ -190,9 +184,6 @@ class Txn {
   enum class State : std::uint8_t { Invalid, Active, Committed, Aborted };
 
   Txn(Database* db, TxnId id, TxnKind kind) : db_(db), id_(id), kind_(kind) {}
-
-  /// Is this transaction an optimistic (lock-free) reader?
-  [[nodiscard]] bool optimistic() const noexcept;
 
   /// Drop the registered store snapshot, if any (commit/abort/move-out).
   void release_snapshot() noexcept;
@@ -211,7 +202,7 @@ class Txn {
   State state_ = State::Invalid;
   Value final_fuzziness_ = 0;
   std::uint64_t commit_lsn_ = 0;
-  /// Registered version-store snapshot (query ETs under CC/DC).
+  /// Registered version-store snapshot (query ETs).
   std::uint64_t snapshot_ = 0;
   bool has_snapshot_ = false;
   /// DC only: divergence already imported per key (see DcResolver).
@@ -223,8 +214,6 @@ class Txn {
   /// Lock-table stripes this ET ever requested a lock in (bit set before
   /// each acquire): commit/abort release only those stripes.
   LockManager::StripeMask lock_stripes_ = 0;
-  /// Optimistic read log: (key, value observed).  Validated at commit.
-  std::vector<std::pair<Key, Value>> read_log_;
   std::vector<std::function<void()>> commit_hooks_;
   std::vector<std::function<void()>> abort_hooks_;
 };
@@ -240,7 +229,7 @@ class Database {
   void load(Key key, Value value);
 
   /// Start an ET.  `parent` links a chopped piece to its original
-  /// transaction for fuzziness roll-up.  Query ETs under CC/DC register a
+  /// transaction for fuzziness roll-up.  Query ETs register a
   /// version-store snapshot here (released at commit/abort).
   [[nodiscard]] Txn begin(TxnKind kind, EpsilonSpec spec,
                           TxnId parent = kInvalidTxn, TxnOptions topts = {});
@@ -301,13 +290,10 @@ class Database {
  private:
   friend class Txn;
 
-  ConflictResolver& resolver() noexcept;
-
   DatabaseOptions opts_;
   Store store_;
   LockManager locks_;
   EtRegistry registry_;
-  NeverFuzzyResolver cc_resolver_;
   DcResolver dc_resolver_;
   std::unique_ptr<GroupCommitter> group_;  // iff opts_.wal != nullptr
 

@@ -2,26 +2,6 @@
 
 namespace atp {
 
-bool DcResolver::try_fuzzy_grant(TxnId requester, LockMode mode, Key key,
-                                 std::span<const LockHolder> conflicting) {
-  // Queries read versions, not locks; everything left in the lock table is
-  // update-vs-update, which divergence control never relaxes.
-  (void)requester;
-  (void)mode;
-  (void)key;
-  (void)conflicting;
-  return false;
-}
-
-bool DcResolver::eligible_pair(TxnId requester, LockMode requester_mode,
-                               TxnId other, LockMode other_mode) {
-  (void)requester;
-  (void)requester_mode;
-  (void)other;
-  (void)other_mode;
-  return false;
-}
-
 Result<VersionRead> DcResolver::read_fresh(
     TxnId query_et, Key key, std::uint64_t snapshot,
     std::unordered_map<Key, Value>& charged) {

@@ -19,33 +19,22 @@
 // Per-key charges are monotone (a re-read charges only the *increase* in
 // divergence), so the total imported fuzziness bounds the distance between
 // the state the query observed and the serializable snapshot state -- the
-// epsilon-serializability contract the ESR certifier replays.  The old
-// lock-time accounting (fuzzy S/X grants, announced write deltas, pending-
-// delta charges) is gone with the dirty-read path: a query can no longer
-// observe uncommitted state at all, so updates never export and never block
-// on query budgets.
+// epsilon-serializability contract the ESR certifier replays.  A query can
+// never observe uncommitted state, so nothing is decided in the lock table:
+// updates never export and never block on query budgets.
 #pragma once
 
 #include <unordered_map>
 
-#include "lock/lock_manager.h"
 #include "storage/store.h"
 #include "txn/registry.h"
 
 namespace atp {
 
-class DcResolver final : public ConflictResolver {
+class DcResolver {
  public:
   DcResolver(EtRegistry& registry, Store& store)
       : registry_(registry), store_(store) {}
-
-  /// Lock-table conflicts are never fuzzy-granted any more: queries bypass
-  /// the lock manager entirely, and update-update conflicts are pure 2PL.
-  bool try_fuzzy_grant(TxnId requester, LockMode mode, Key key,
-                       std::span<const LockHolder> conflicting) override;
-
-  bool eligible_pair(TxnId requester, LockMode requester_mode, TxnId other,
-                     LockMode other_mode) override;
 
   /// Freshest-within-budget read for a DC query ET pinned at `snapshot`.
   /// `charged` is the transaction's per-key divergence ledger (owned by the

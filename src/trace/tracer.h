@@ -63,15 +63,15 @@ enum class TraceKind : std::uint8_t {
                 ///< aux2=original id
   PieceFinish,  ///< txn=piece ET id; key=piece index; a=Z_p; aux2=original id
   PieceResubmit,  ///< key=piece index; aux=attempt; aux2=original id
-  // Lock manager -- lock/.  aux bit0 = exclusive mode, bit1 = fuzzy grant.
+  // Lock manager -- lock/.  aux bit0 = exclusive mode.
   LockWait,      ///< txn, key; aux=mode; aux2=one blocking txn
-  LockAcquire,   ///< txn, key; aux=mode|fuzzy<<1
+  LockAcquire,   ///< txn, key; aux=mode
   LockRelease,   ///< txn (release_all: every key at once)
   LockDeadlock,  ///< txn, key; aux=mode (refused as deadlock victim)
   LockTimeout,   ///< txn, key; aux=mode
   // Divergence-control fuzziness ledger -- txn/.
   FuzzImport,  ///< txn=query ET; a=amount; b=import limit at charge time;
-               ///< aux2=counterpart update ET (0 for ODC self-import)
+               ///< aux2=counterpart update ET (0 for a self-import)
   FuzzExport,  ///< txn=update ET; a=amount; b=export limit at charge time;
                ///< aux2=counterpart query ET
   // Recoverable queues -- queue/.
@@ -108,7 +108,6 @@ struct TraceEvent {
 
 /// Lock-mode bits carried in `aux` of the Lock* events.
 inline constexpr std::uint64_t kTraceModeExclusive = 1;
-inline constexpr std::uint64_t kTraceGrantFuzzy = 2;
 
 class Tracer;
 

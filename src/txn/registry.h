@@ -78,9 +78,9 @@ class EtRegistry {
   }
 
   /// Charge `amount` to the query ET's own import account with no export
-  /// counterpart -- divergence control prices a fresh read (DcResolver) and
-  /// optimistic validation (ODC) against already-committed updates, whose
-  /// export accounts are gone.  All-or-nothing against the import limit.
+  /// counterpart -- divergence control prices a fresh read (DcResolver)
+  /// against already-committed updates, whose export accounts are gone.
+  /// All-or-nothing against the import limit.
   bool try_self_import(TxnId query_et, Value amount);
 
   /// Cumulative charge/rejection telemetry plus roll-ups of ended ETs,

@@ -59,7 +59,6 @@ TEST(PercentileTest, BenchHelperSortsItsInput) {
     EXPECT_DOUBLE_EQ(bench::percentile(shuffled, q), percentile_of(sorted, q))
         << "q=" << q;
   }
-  EXPECT_DOUBLE_EQ(bench::median({3, 1, 2}), 2.0);
 }
 
 TEST(PercentileTest, HistogramExactBelowReservoirCap) {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
-#include <vector>
 
 #include "sched/dc_resolver.h"
 
@@ -133,18 +132,23 @@ TEST_F(DcResolverTest, KeyBornAfterSnapshotAbortsAsSnapshotTooOld) {
   store_.snapshot_release(snap);
 }
 
-TEST_F(DcResolverTest, NeverFuzzyGrantsLockConflicts) {
-  // The resolver no longer relaxes the lock table at all: queries read
-  // versions, and update-update conflicts stay pure 2PL.
+TEST_F(DcResolverTest, FreshReadChargesOnlyTheQuerysImport) {
+  // The only charge divergence control makes is a query pricing its own
+  // fresh read: no export counterpart, nothing billed to a live update.
+  store_.load(1, 100);
+  const std::uint64_t snap = store_.snapshot_acquire();
   const TxnId q = query(1000);
   const TxnId u = update(1000);
-  const std::vector<LockHolder> holders{{u, LockMode::Exclusive, false}};
-  EXPECT_FALSE(resolver_.try_fuzzy_grant(q, LockMode::Shared, 1, holders));
-  EXPECT_FALSE(resolver_.try_fuzzy_grant(u, LockMode::Exclusive, 1, holders));
-  EXPECT_FALSE(
-      resolver_.eligible_pair(q, LockMode::Shared, u, LockMode::Exclusive));
-  EXPECT_FALSE(
-      resolver_.eligible_pair(u, LockMode::Exclusive, q, LockMode::Shared));
+  commit_value(1, 130);
+  std::unordered_map<Key, Value> charged;
+  ASSERT_TRUE(resolver_.read_fresh(q, 1, snap, charged).ok());
+  const EtRegistry::ChargeStats cs = reg_.charge_stats();
+  EXPECT_EQ(cs.import_charged, 30);
+  EXPECT_EQ(cs.export_charged, 0);
+  EXPECT_EQ(reg_.fuzziness_of(q), 30);
+  EXPECT_EQ(reg_.fuzziness_of(u), 0);
+  reg_.end_commit(u);
+  store_.snapshot_release(snap);
 }
 
 TEST_F(DcResolverTest, UncommittedWritesAreInvisibleToQueries) {

@@ -15,21 +15,20 @@ using namespace std::chrono_literals;
 class LockTest : public ::testing::Test {
  protected:
   LockManager locks_{std::chrono::milliseconds(500)};
-  NeverFuzzyResolver cc_;
 };
 
 TEST_F(LockTest, SharedLocksCoexist) {
-  EXPECT_TRUE(locks_.acquire(1, 10, LockMode::Shared, cc_).ok());
-  EXPECT_TRUE(locks_.acquire(2, 10, LockMode::Shared, cc_).ok());
+  EXPECT_TRUE(locks_.acquire(1, 10, LockMode::Shared).ok());
+  EXPECT_TRUE(locks_.acquire(2, 10, LockMode::Shared).ok());
   EXPECT_TRUE(locks_.holds(1, 10, LockMode::Shared));
   EXPECT_TRUE(locks_.holds(2, 10, LockMode::Shared));
 }
 
 TEST_F(LockTest, ExclusiveExcludesShared) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive).ok());
   std::atomic<bool> granted{false};
   std::thread t([&] {
-    const Status s = locks_.acquire(2, 10, LockMode::Shared, cc_);
+    const Status s = locks_.acquire(2, 10, LockMode::Shared);
     granted = s.ok();
   });
   std::this_thread::sleep_for(50ms);
@@ -40,29 +39,29 @@ TEST_F(LockTest, ExclusiveExcludesShared) {
 }
 
 TEST_F(LockTest, ReentrantSharedAndExclusive) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared, cc_).ok());
-  EXPECT_TRUE(locks_.acquire(1, 10, LockMode::Shared, cc_).ok());
-  ASSERT_TRUE(locks_.acquire(1, 11, LockMode::Exclusive, cc_).ok());
-  EXPECT_TRUE(locks_.acquire(1, 11, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared).ok());
+  EXPECT_TRUE(locks_.acquire(1, 10, LockMode::Shared).ok());
+  ASSERT_TRUE(locks_.acquire(1, 11, LockMode::Exclusive).ok());
+  EXPECT_TRUE(locks_.acquire(1, 11, LockMode::Exclusive).ok());
   // X covers S.
-  EXPECT_TRUE(locks_.acquire(1, 11, LockMode::Shared, cc_).ok());
+  EXPECT_TRUE(locks_.acquire(1, 11, LockMode::Shared).ok());
   EXPECT_TRUE(locks_.holds(1, 11, LockMode::Shared));
 }
 
 TEST_F(LockTest, UpgradeSharedToExclusive) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared, cc_).ok());
-  EXPECT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared).ok());
+  EXPECT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive).ok());
   EXPECT_TRUE(locks_.holds(1, 10, LockMode::Exclusive));
   // Only one holder entry remains.
   EXPECT_EQ(locks_.holders_of(10).size(), 1u);
 }
 
 TEST_F(LockTest, UpgradeWaitsForOtherReaders) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared, cc_).ok());
-  ASSERT_TRUE(locks_.acquire(2, 10, LockMode::Shared, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared).ok());
+  ASSERT_TRUE(locks_.acquire(2, 10, LockMode::Shared).ok());
   std::atomic<bool> upgraded{false};
   std::thread t([&] {
-    upgraded = locks_.acquire(1, 10, LockMode::Exclusive, cc_).ok();
+    upgraded = locks_.acquire(1, 10, LockMode::Exclusive).ok();
   });
   std::this_thread::sleep_for(50ms);
   EXPECT_FALSE(upgraded.load());
@@ -72,16 +71,16 @@ TEST_F(LockTest, UpgradeWaitsForOtherReaders) {
 }
 
 TEST_F(LockTest, DeadlockDetectedAndRequesterAborted) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive, cc_).ok());
-  ASSERT_TRUE(locks_.acquire(2, 11, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive).ok());
+  ASSERT_TRUE(locks_.acquire(2, 11, LockMode::Exclusive).ok());
   std::thread t([&] {
     // txn 1 waits for key 11 (held by 2)...
-    const Status s = locks_.acquire(1, 11, LockMode::Exclusive, cc_);
+    const Status s = locks_.acquire(1, 11, LockMode::Exclusive);
     if (s.ok()) locks_.release_all(1);
   });
   std::this_thread::sleep_for(50ms);
   // ...and txn 2 closing the cycle must be refused as the deadlock victim.
-  const Status s = locks_.acquire(2, 10, LockMode::Exclusive, cc_);
+  const Status s = locks_.acquire(2, 10, LockMode::Exclusive);
   EXPECT_EQ(s.code(), ErrorCode::kDeadlock);
   locks_.release_all(2);
   t.join();
@@ -90,14 +89,14 @@ TEST_F(LockTest, DeadlockDetectedAndRequesterAborted) {
 }
 
 TEST_F(LockTest, UpgradeDeadlockBetweenTwoUpgraders) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared, cc_).ok());
-  ASSERT_TRUE(locks_.acquire(2, 10, LockMode::Shared, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared).ok());
+  ASSERT_TRUE(locks_.acquire(2, 10, LockMode::Shared).ok());
   std::thread t([&] {
-    const Status s = locks_.acquire(1, 10, LockMode::Exclusive, cc_);
+    const Status s = locks_.acquire(1, 10, LockMode::Exclusive);
     if (s.ok()) locks_.release_all(1);
   });
   std::this_thread::sleep_for(50ms);
-  const Status s = locks_.acquire(2, 10, LockMode::Exclusive, cc_);
+  const Status s = locks_.acquire(2, 10, LockMode::Exclusive);
   EXPECT_EQ(s.code(), ErrorCode::kDeadlock);
   locks_.release_all(2);
   t.join();
@@ -106,36 +105,36 @@ TEST_F(LockTest, UpgradeDeadlockBetweenTwoUpgraders) {
 
 TEST_F(LockTest, TimeoutWhenHolderNeverReleases) {
   locks_.set_timeout(100ms);
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive, cc_).ok());
-  const Status s = locks_.acquire(2, 10, LockMode::Exclusive, cc_);
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive).ok());
+  const Status s = locks_.acquire(2, 10, LockMode::Exclusive);
   EXPECT_EQ(s.code(), ErrorCode::kTimeout);
   EXPECT_GE(locks_.stats().timeouts, 1u);
 }
 
 TEST_F(LockTest, ReleaseAllIsIdempotentAndComplete) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared, cc_).ok());
-  ASSERT_TRUE(locks_.acquire(1, 11, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared).ok());
+  ASSERT_TRUE(locks_.acquire(1, 11, LockMode::Exclusive).ok());
   locks_.release_all(1);
   locks_.release_all(1);  // idempotent
   EXPECT_FALSE(locks_.holds(1, 10, LockMode::Shared));
   EXPECT_FALSE(locks_.holds(1, 11, LockMode::Shared));
   // Keys fully free for others.
-  EXPECT_TRUE(locks_.acquire(2, 10, LockMode::Exclusive, cc_).ok());
-  EXPECT_TRUE(locks_.acquire(2, 11, LockMode::Exclusive, cc_).ok());
+  EXPECT_TRUE(locks_.acquire(2, 10, LockMode::Exclusive).ok());
+  EXPECT_TRUE(locks_.acquire(2, 11, LockMode::Exclusive).ok());
 }
 
 TEST_F(LockTest, FifoFairnessWriterNotStarvedByReaders) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared).ok());
   std::atomic<bool> writer_granted{false};
   std::thread writer([&] {
-    writer_granted = locks_.acquire(2, 10, LockMode::Exclusive, cc_).ok();
+    writer_granted = locks_.acquire(2, 10, LockMode::Exclusive).ok();
     if (writer_granted) locks_.release_all(2);
   });
   std::this_thread::sleep_for(50ms);  // writer is now queued
   std::atomic<bool> reader_done{false};
   std::thread reader([&] {
     // This reader arrived after the waiting writer: it must NOT overtake.
-    const Status s = locks_.acquire(3, 10, LockMode::Shared, cc_);
+    const Status s = locks_.acquire(3, 10, LockMode::Shared);
     reader_done = true;
     if (s.ok()) locks_.release_all(3);
   });
@@ -150,9 +149,9 @@ TEST_F(LockTest, FifoFairnessWriterNotStarvedByReaders) {
 }
 
 TEST_F(LockTest, WaitStatsCountBlocking) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive).ok());
   std::thread t([&] {
-    (void)locks_.acquire(2, 10, LockMode::Shared, cc_);
+    (void)locks_.acquire(2, 10, LockMode::Shared);
     locks_.release_all(2);
   });
   std::this_thread::sleep_for(30ms);
@@ -162,56 +161,62 @@ TEST_F(LockTest, WaitStatsCountBlocking) {
 }
 
 TEST_F(LockTest, HoldersOfReportsModes) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared, cc_).ok());
-  ASSERT_TRUE(locks_.acquire(2, 10, LockMode::Shared, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared).ok());
+  ASSERT_TRUE(locks_.acquire(2, 10, LockMode::Shared).ok());
+  ASSERT_TRUE(locks_.acquire(3, 11, LockMode::Exclusive).ok());
   const auto holders = locks_.holders_of(10);
   ASSERT_EQ(holders.size(), 2u);
-  for (const auto& h : holders) {
-    EXPECT_EQ(h.mode, LockMode::Shared);
-    EXPECT_FALSE(h.fuzzy);
-  }
+  for (const auto& h : holders) EXPECT_EQ(h.mode, LockMode::Shared);
+  const auto writer = locks_.holders_of(11);
+  ASSERT_EQ(writer.size(), 1u);
+  EXPECT_EQ(writer[0].txn, 3u);
+  EXPECT_EQ(writer[0].mode, LockMode::Exclusive);
 }
 
-// A resolver that always grants, to exercise the fuzzy-grant plumbing
-// without divergence-control bookkeeping.
-class AlwaysFuzzyResolver final : public ConflictResolver {
- public:
-  bool try_fuzzy_grant(TxnId, LockMode, Key,
-                       std::span<const LockHolder>) override {
-    return true;
-  }
-  bool eligible_pair(TxnId, LockMode, TxnId, LockMode) override {
-    return true;
-  }
-};
-
-TEST_F(LockTest, FuzzyResolverGrantsPastConflict) {
-  AlwaysFuzzyResolver fuzzy;
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive, cc_).ok());
-  // With the fuzzy resolver the S request does not block.
-  EXPECT_TRUE(locks_.acquire(2, 10, LockMode::Shared, fuzzy).ok());
-  const auto holders = locks_.holders_of(10);
-  ASSERT_EQ(holders.size(), 2u);
-  bool saw_fuzzy = false;
-  for (const auto& h : holders) saw_fuzzy |= h.fuzzy;
-  EXPECT_TRUE(saw_fuzzy);
-  EXPECT_GE(locks_.stats().fuzzy_grants, 1u);
-}
-
-TEST_F(LockTest, MixedResolversCoexist) {
-  AlwaysFuzzyResolver fuzzy;
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive, cc_).ok());
-  ASSERT_TRUE(locks_.acquire(2, 10, LockMode::Shared, fuzzy).ok());
-  // A pure-2PL shared request still blocks behind the X holder.
+TEST_F(LockTest, ConflictIsNeverGrantedPastAHolder) {
+  // Strict 2PL has no fuzzy path: a conflicting request waits, times out,
+  // and never joins the holders.
   locks_.set_timeout(100ms);
-  const Status s = locks_.acquire(3, 10, LockMode::Shared, cc_);
-  EXPECT_EQ(s.code(), ErrorCode::kTimeout);
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive).ok());
+  EXPECT_EQ(locks_.acquire(2, 10, LockMode::Shared).code(),
+            ErrorCode::kTimeout);
+  const auto holders = locks_.holders_of(10);
+  ASSERT_EQ(holders.size(), 1u);
+  EXPECT_EQ(holders[0].txn, 1u);
+  EXPECT_FALSE(locks_.holds(2, 10, LockMode::Shared));
+  const LockStats st = locks_.stats();
+  EXPECT_EQ(st.waits, 1u);
+  EXPECT_EQ(st.timeouts, 1u);
+  EXPECT_EQ(st.deadlocks, 0u);
+}
+
+TEST_F(LockTest, WaitEdgeToQueuedWaiterClosesDeadlock) {
+  // 1 holds S(10) and 2 queues for X(10) behind it.  3 holds X(20) and asks
+  // S(10): compatible with holder 1, but FIFO parks it behind waiter 2, so
+  // 3 waits for 2.  1 asking X(20) then closes 1 -> 3 -> 2 -> 1.
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Shared).ok());
+  ASSERT_TRUE(locks_.acquire(3, 20, LockMode::Exclusive).ok());
+  std::thread t2([&] {
+    EXPECT_TRUE(locks_.acquire(2, 10, LockMode::Exclusive).ok());
+    locks_.release_all(2);
+  });
+  std::this_thread::sleep_for(50ms);
+  std::thread t3([&] {
+    EXPECT_TRUE(locks_.acquire(3, 10, LockMode::Shared).ok());
+    locks_.release_all(3);
+  });
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(locks_.acquire(1, 20, LockMode::Exclusive).code(),
+            ErrorCode::kDeadlock);
+  locks_.release_all(1);
+  t2.join();
+  t3.join();
 }
 
 TEST_F(LockTest, CancelledWaiterReturnsAborted) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive).ok());
   Status result = Status::Ok();
-  std::thread t([&] { result = locks_.acquire(2, 10, LockMode::Shared, cc_); });
+  std::thread t([&] { result = locks_.acquire(2, 10, LockMode::Shared); });
   std::this_thread::sleep_for(50ms);
   locks_.release_all(2);  // cross-thread cancel of txn 2's wait
   t.join();
@@ -220,18 +225,18 @@ TEST_F(LockTest, CancelledWaiterReturnsAborted) {
 }
 
 TEST_F(LockTest, ThreeWayDeadlockDetected) {
-  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive, cc_).ok());
-  ASSERT_TRUE(locks_.acquire(2, 11, LockMode::Exclusive, cc_).ok());
-  ASSERT_TRUE(locks_.acquire(3, 12, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, 10, LockMode::Exclusive).ok());
+  ASSERT_TRUE(locks_.acquire(2, 11, LockMode::Exclusive).ok());
+  ASSERT_TRUE(locks_.acquire(3, 12, LockMode::Exclusive).ok());
   std::thread t1([&] {
-    (void)locks_.acquire(1, 11, LockMode::Exclusive, cc_);  // 1 -> 2
+    (void)locks_.acquire(1, 11, LockMode::Exclusive);  // 1 -> 2
   });
   std::thread t2([&] {
-    (void)locks_.acquire(2, 12, LockMode::Exclusive, cc_);  // 2 -> 3
+    (void)locks_.acquire(2, 12, LockMode::Exclusive);  // 2 -> 3
   });
   std::this_thread::sleep_for(80ms);
   // 3 -> 1 closes the cycle.
-  const Status s = locks_.acquire(3, 10, LockMode::Exclusive, cc_);
+  const Status s = locks_.acquire(3, 10, LockMode::Exclusive);
   EXPECT_EQ(s.code(), ErrorCode::kDeadlock);
   locks_.release_all(3);
   t2.join();
@@ -262,9 +267,9 @@ TEST_F(LockTest, ReleaseAllVisitsOnlyTheTouchedStripes) {
   const Key b = key_in_stripe(9);
   LockManager::StripeMask mask = 0;
   mask |= LockManager::stripe_bit(a);
-  ASSERT_TRUE(locks_.acquire(1, a, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, a, LockMode::Exclusive).ok());
   mask |= LockManager::stripe_bit(b);
-  ASSERT_TRUE(locks_.acquire(1, b, LockMode::Shared, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, b, LockMode::Shared).ok());
 
   const std::vector<std::uint64_t> before = releases_per_stripe(locks_);
   locks_.release_all(1, mask);
@@ -276,8 +281,8 @@ TEST_F(LockTest, ReleaseAllVisitsOnlyTheTouchedStripes) {
   }
   EXPECT_FALSE(locks_.holds(1, a, LockMode::Shared));
   EXPECT_FALSE(locks_.holds(1, b, LockMode::Shared));
-  EXPECT_TRUE(locks_.acquire(2, a, LockMode::Exclusive, cc_).ok());
-  EXPECT_TRUE(locks_.acquire(2, b, LockMode::Exclusive, cc_).ok());
+  EXPECT_TRUE(locks_.acquire(2, a, LockMode::Exclusive).ok());
+  EXPECT_TRUE(locks_.acquire(2, b, LockMode::Exclusive).ok());
 
   // A lock-free ET (empty mask) visits no stripe at all.
   const std::vector<std::uint64_t> idle = releases_per_stripe(locks_);
@@ -293,15 +298,15 @@ TEST_F(LockTest, TouchedStripeReleaseStillCancelsACrossThreadWaiter) {
   const Key held = key_in_stripe(5);
   const Key wanted = key_in_stripe(12);
   locks_.set_timeout(10s);  // only the cancel may end the wait
-  ASSERT_TRUE(locks_.acquire(1, wanted, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(1, wanted, LockMode::Exclusive).ok());
 
   std::atomic<LockManager::StripeMask> mask2{0};
   mask2 |= LockManager::stripe_bit(held);
-  ASSERT_TRUE(locks_.acquire(2, held, LockMode::Exclusive, cc_).ok());
+  ASSERT_TRUE(locks_.acquire(2, held, LockMode::Exclusive).ok());
   Status result = Status::Ok();
   std::thread t([&] {
     mask2 |= LockManager::stripe_bit(wanted);
-    result = locks_.acquire(2, wanted, LockMode::Exclusive, cc_);
+    result = locks_.acquire(2, wanted, LockMode::Exclusive);
   });
   // Wait until txn 2 is parked in stripe 12.
   const auto deadline = std::chrono::steady_clock::now() + 2s;

@@ -237,9 +237,9 @@ TEST(DcTxn, QueriesBypassTheLockManagerEntirely) {
   const std::uint64_t before = total_acquires();
   Txn q = db.begin(TxnKind::Query, EpsilonSpec::importing(100));
   ASSERT_TRUE(q.read(1).ok());
+  EXPECT_TRUE(db.locks().holders_of(1).empty());  // nothing held mid-query
   ASSERT_TRUE(q.commit().ok());
-  EXPECT_EQ(total_acquires(), before);              // no lock traffic at all
-  EXPECT_EQ(db.locks().stats().fuzzy_grants, 0u);   // fuzzy grants are gone
+  EXPECT_EQ(total_acquires(), before);            // no lock traffic at all
   EXPECT_GE(db.store().mvcc_stats().snapshots_acquired, 1u);
 }
 

@@ -146,7 +146,6 @@ class LockStressTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LockStressTest, RandomTrafficKeepsInvariants) {
   LockManager locks{std::chrono::milliseconds(200)};
-  NeverFuzzyResolver cc;
   constexpr int kThreads = 6;
   constexpr int kKeys = 8;
   constexpr int kOpsPerThread = 300;
@@ -163,7 +162,7 @@ TEST_P(LockStressTest, RandomTrafficKeepsInvariants) {
         const Key key = rng.uniform(kKeys);
         const LockMode mode =
             rng.chance(0.4) ? LockMode::Exclusive : LockMode::Shared;
-        const Status s = locks.acquire(txn, key, mode, cc);
+        const Status s = locks.acquire(txn, key, mode);
         if (s.ok()) {
           ++granted;
           ++held;
@@ -197,7 +196,7 @@ TEST_P(LockStressTest, RandomTrafficKeepsInvariants) {
   EXPECT_GT(granted.load(), 0u);
   // After everything released, all keys must be free.
   for (Key k = 0; k < kKeys; ++k) {
-    EXPECT_TRUE(locks.acquire(999999, k, LockMode::Exclusive, cc).ok());
+    EXPECT_TRUE(locks.acquire(999999, k, LockMode::Exclusive).ok());
   }
   locks.release_all(999999);
 }

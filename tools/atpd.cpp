@@ -16,6 +16,7 @@
 // defaults are gold (eps 0), silver (metered), bronze (wide open).  Runs
 // until SIGINT/SIGTERM.  With --certify the exit code is 3 when the online
 // certifier saw a violation.
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -52,10 +53,18 @@ struct Args {
 };
 
 void usage() {
-  std::cerr << "usage: atpd [--port N] [--scheduler cc|dc|odc] [--workers N]\n"
+  std::cerr << "usage: atpd [--port N] [--scheduler cc|dc] [--workers N]\n"
                "            [--class name:import:export[:budget[:window]]]...\n"
                "            [--metrics-port N] [--keys N] [--max-sessions N]\n"
                "            [--certify] [--slow-ms N]\n";
+}
+
+/// A TCP port: decimal digits only, 0..65535 (0 = kernel-assigned for
+/// --port, off for --metrics-port).
+bool parse_port(const char* v, std::uint16_t* out) {
+  const char* end = v + std::strlen(v);
+  const auto [p, ec] = std::from_chars(v, end, *out);
+  return v != end && ec == std::errc() && p == end;
 }
 
 bool parse_args(int argc, char** argv, Args* a) {
@@ -66,9 +75,15 @@ bool parse_args(int argc, char** argv, Args* a) {
     const std::string arg = argv[i];
     const char* v = nullptr;
     if (arg == "--port" && (v = next(i))) {
-      a->port = std::uint16_t(std::strtoul(v, nullptr, 10));
+      if (!parse_port(v, &a->port)) {
+        std::cerr << "atpd: bad --port '" << v << "'\n";
+        return false;
+      }
     } else if (arg == "--metrics-port" && (v = next(i))) {
-      a->metrics_port = std::uint16_t(std::strtoul(v, nullptr, 10));
+      if (!parse_port(v, &a->metrics_port)) {
+        std::cerr << "atpd: bad --metrics-port '" << v << "'\n";
+        return false;
+      }
     } else if (arg == "--workers" && (v = next(i))) {
       a->workers = std::strtoul(v, nullptr, 10);
     } else if (arg == "--max-sessions" && (v = next(i))) {
@@ -85,9 +100,8 @@ bool parse_args(int argc, char** argv, Args* a) {
         a->scheduler = atp::SchedulerKind::CC;
       } else if (s == "dc") {
         a->scheduler = atp::SchedulerKind::DC;
-      } else if (s == "odc") {
-        a->scheduler = atp::SchedulerKind::ODC;
       } else {
+        std::cerr << "atpd: bad --scheduler '" << s << "'\n";
         return false;
       }
     } else if (arg == "--class" && (v = next(i))) {
@@ -145,7 +159,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<atp::OnlineCertifier> certifier;
   if (args.certify) {
     atp::OnlineCertifierOptions co;
-    // ET-level SR cycles are the paid-for divergence under DC/ODC; only a
+    // ET-level SR cycles are the paid-for divergence under DC; only a
     // CC schedule promises conflict-serializability.
     co.check_sr = args.scheduler == atp::SchedulerKind::CC;
     co.metrics = &metrics;

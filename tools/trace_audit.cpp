@@ -159,8 +159,9 @@ int main(int argc, char** argv) {
 
   bool ok = true;
 
-  // SR certification is sound only under pure locking: divergence control
-  // grants fuzzy locks, so its histories are judged by the ESR ledger alone.
+  // SR certification is sound only under concurrency control: divergence
+  // control lets queries read past their snapshot, so its histories are
+  // judged by the ESR ledger alone.
   if (method->sched == SchedulerKind::CC) {
     const SrReport sr = certify_sr(events, nullptr, dropped);
     std::printf("piece level:    %s\n", sr.describe().c_str());

@@ -1,7 +1,7 @@
 // Component micro-benchmarks (google-benchmark): the building blocks whose
 // costs underlie the system-level numbers -- lock acquisition and release,
-// the ET registry round trip, a WAL-backed sync commit, chopping-graph
-// analysis, and the finest-chopping searches.
+// the ET registry round trip, a WAL-backed sync commit, a chopped transfer
+// over the WAL, chopping-graph analysis, and the finest-chopping searches.
 //
 // The obs group doubles as the instrumentation-overhead experiment: build
 // once with -DATP_OBS=ON and once with OFF and compare
@@ -12,6 +12,8 @@
 
 #include "chop/analyzer.h"
 #include "common/rng.h"
+#include "engine/piece_runner.h"
+#include "engine/plan.h"
 #include "lock/lock_manager.h"
 #include "obs/metrics_registry.h"
 #include "sched/database.h"
@@ -102,6 +104,48 @@ void BM_SyncCommitWithWal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SyncCommitWithWal)->Threads(1)->Threads(4);
+
+void BM_ChoppedTransferWithWal(benchmark::State& state) {
+  // The WAL append + group flush layer as a chopped transaction pays it: a
+  // two-piece transfer through PieceRunner, piece 1 committing kAsync with
+  // its continuation in the commit record, piece 2 waiting for the group
+  // flush (zero simulated fsync latency).  Each thread moves money between
+  // its own two keys: the commit path is shared, no lock is.
+  static LogDevice wal;
+  static Database db([] {
+    DatabaseOptions o;
+    o.scheduler = SchedulerKind::DC;
+    o.wal = &wal;
+    return o;
+  }());
+  static const ExecutionPlan plan = [] {
+    const TxnProgram transfer = ProgramBuilder("transfer", TxnKind::Update)
+                                    .add(1, -1, 10)
+                                    .add(2, +1, 10)
+                                    .epsilon(100)
+                                    .build();
+    return ExecutionPlan::build({transfer}, MethodConfig::method1()).value();
+  }();
+  const Key from = 2 * Key(state.thread_index()) + 1;
+  if (state.thread_index() == 0) {
+    for (Key k = 1; k <= 2 * Key(state.threads()); ++k) db.load(k, 1000);
+  }
+  TxnInstance transfer;
+  transfer.ops = {Access::add(from, -1, 10), Access::add(from + 1, +1, 10)};
+  PieceRunner runner(db, nullptr);
+  Rng rng(from);
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        runner.run(plan.types[0], transfer, DistPolicy::Static, rng));
+    // Keep the in-memory log small: drop what is already durable.
+    if (state.thread_index() == 0 && ++n % 4096 == 0) {
+      wal.truncate_before(wal.durable_lsn());
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChoppedTransferWithWal)->Threads(1)->Threads(4);
 
 void BM_TxnCommitCycle(benchmark::State& state) {
   Database db(DatabaseOptions{});

@@ -91,6 +91,23 @@ ExecutorReport Executor::run(Database& db, const ExecutionPlan& plan,
   std::atomic<std::uint64_t> steals{0};
   Rng seeder(opts.seed);
 
+  // Recovery's leftovers come first: once piece 1 committed, the original
+  // must commit (Theorem 1), and new work must not overtake it.  They get
+  // their own Rng, so the workers' streams do not depend on whether there
+  // was anything to resume.  One logged under another plan (a type index
+  // this plan lacks, or a mismatched chopping) stays open on the log.
+  std::uint64_t resumed = 0;
+  if (std::vector<OpenContinuation> opened = db.take_continuations();
+      !opened.empty()) {
+    PieceRunner runner(db, nullptr, 0, 0, false, opts.commit_wait);
+    Rng rng(~opts.seed);
+    for (const OpenContinuation& open : opened) {
+      if (open.cont.type_index >= plan.types.size()) continue;
+      const TxnTypePlan& tp = plan.types[open.cont.type_index];
+      if (runner.resume(tp, open, plan.method.dist, rng).committed) ++resumed;
+    }
+  }
+
   const std::size_t workers = std::max<std::size_t>(1, opts.workers);
 
   // Round-robin partition keeps each worker's slice spread across the whole
@@ -209,6 +226,7 @@ ExecutorReport Executor::run(Database& db, const ExecutionPlan& plan,
   ExecutorReport report;
   report.method_name = plan.method.name();
   report.committed = metrics.committed_txns.get();
+  report.resumed = resumed;
   report.rolled_back = metrics.aborts_rollback.get();
   report.committed_pieces = metrics.committed_pieces.get();
   report.resubmissions = metrics.resubmissions.get();

@@ -38,8 +38,11 @@ struct ExecutorOptions {
   /// Run independent sibling pieces on parallel threads (Figure 2's
   /// Schedule(S, ...) "for all p in S in parallel").
   bool parallel_pieces = false;
-  /// Commit durability mode for every transaction the run begins (WAL-backed
-  /// databases only; ignored without a WAL).  kAsync measures the
+  /// Commit durability mode of the piece that finishes each original
+  /// transaction (WAL-backed databases only; ignored without a WAL).  The
+  /// pieces before it always commit kAsync: the finishing piece's flush
+  /// covers them, and the continuation piece 1 logs finishes them after a
+  /// crash -- one log force per original.  kAsync here measures the
   /// group-commit fast path: success at append, durability at the next
   /// group flush.
   CommitWait commit_wait = CommitWait::kSync;
@@ -48,6 +51,9 @@ struct ExecutorOptions {
 struct ExecutorReport {
   std::string method_name;
   std::uint64_t committed = 0;
+  /// Originals recovery left open, finished before the run's own work
+  /// (not counted in `committed`).
+  std::uint64_t resumed = 0;
   std::uint64_t rolled_back = 0;       ///< programmed rollbacks taken
   std::uint64_t committed_pieces = 0;
   std::uint64_t resubmissions = 0;     ///< piece re-runs by the handler
@@ -76,6 +82,9 @@ class Executor {
   /// Run all `instances` (per-worker run queues with batched dequeue and
   /// work stealing) with `workers` threads.  `db`'s scheduler must match
   /// `plan.method.sched`; data for the instances' keys must be loaded.
+  /// First, before any instance starts, finish the open continuations the
+  /// database's last recovery found (Database::take_continuations): the
+  /// chopped transactions a crash interrupted after piece 1.
   [[nodiscard]] static ExecutorReport run(Database& db,
                                           const ExecutionPlan& plan,
                                           const std::vector<TxnInstance>& instances,

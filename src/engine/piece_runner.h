@@ -10,7 +10,13 @@
 //     commits, the original transaction MUST eventually commit;
 //   * the eps-spec each piece runs with comes from the LimitDistributor
 //     (static even split or Figure 2's dynamic leftover propagation), and a
-//     committed piece reports its measured Z_p back so leftovers flow.
+//     committed piece reports its measured Z_p back so leftovers flow;
+//   * with a WAL, "must eventually commit" survives a crash: piece 1 of a
+//     multi-piece update logs the continuation in its commit record, every
+//     piece stamps its own (wal/continuation.h), and resume() finishes what
+//     recovery finds open.  That is also what lets every piece but the last
+//     commit kAsync: the log is durable in LSN order, so the last piece's
+//     flush covers the earlier pieces -- one log force per original.
 //
 // The runner also separates the two fuzziness totals the paper cares about:
 // the restricted-piece total (what Condition 3 actually bounds by Limit_t)
@@ -25,11 +31,15 @@
 #include "common/rng.h"
 #include "engine/plan.h"
 #include "sched/database.h"
+#include "wal/continuation.h"
 
 namespace atp {
 
 struct TxnRunResult {
-  bool committed = false;     ///< all pieces committed
+  /// All pieces committed.  False with rolled_back false: a piece hit the
+  /// resubmission cap; if piece 1 had committed, the continuation stays
+  /// open on the log for resume().
+  bool committed = false;
   bool rolled_back = false;   ///< programmed rollback taken in piece 1
   Value z_restricted = 0;     ///< sum of Z_p over restricted pieces
   Value z_total = 0;          ///< sum of Z_p over all pieces (over-estimate)
@@ -59,22 +69,60 @@ class PieceRunner {
 
   /// Execute `instance` according to `plan` (its type's chopping) under the
   /// given distribution policy.  Blocks until the transaction either fully
-  /// commits or takes its programmed rollback.
+  /// commits, takes its programmed rollback, or gives up at the
+  /// resubmission cap.  `commit_wait` governs the piece that finishes the
+  /// original (the last, or each leaf of a parallel fan-out); the pieces
+  /// before it commit kAsync.
   TxnRunResult run(const TxnTypePlan& plan, const TxnInstance& instance,
                    DistPolicy policy, Rng& rng);
 
-  /// Cap on per-piece resubmissions before giving up (defends tests against
-  /// livelock; the paper's process handler retries forever).
+  /// Finish an original transaction recovery found open: replay the
+  /// committed pieces' Z_p into the distributor, then run the pieces that
+  /// have no stamped commit, in index order, each stamped with the same
+  /// continuation.  committed = false if the continuation does not fit
+  /// `plan` (wrong piece count or op count) or a piece gives up.
+  TxnRunResult resume(const TxnTypePlan& plan, const OpenContinuation& open,
+                      DistPolicy policy, Rng& rng);
+
+  /// Default cap on per-piece resubmissions before giving up (defends tests
+  /// against livelock; the paper's process handler retries forever).
   static constexpr std::uint64_t kMaxResubmit = 100000;
+
+  /// Lower the cap (tests of the give-up path).
+  void set_max_resubmit(std::uint64_t cap) noexcept { max_resubmit_ = cap; }
 
  private:
   struct PieceOutcome;
+  struct Tally;
+
+  /// run_one_piece's `continuation` for piece 1 of a logged original: open
+  /// a continuation named after the piece's own TxnId.
+  static constexpr TxnId kOpenContinuation = ~TxnId{0};
 
   /// `original`: trace id of the original transaction the piece belongs to
-  /// (kInvalidTxn when tracing is off).
+  /// (kInvalidTxn when tracing is off).  `continuation`: the continuation
+  /// this piece advances when it commits (kInvalidTxn: none is logged;
+  /// piece 1 of a logged original passes kOpenContinuation).
   PieceOutcome run_one_piece(const TxnTypePlan& plan,
                              const TxnInstance& instance, std::size_t piece,
-                             Value limit, Rng& rng, TxnId original);
+                             Value limit, Rng& rng, TxnId original,
+                             TxnId continuation, CommitWait wait);
+
+  /// Run piece `p` with the limit `tally` assigns and account its outcome.
+  /// Returns false if it gave up.
+  bool run_and_account(const TxnTypePlan& plan, const TxnInstance& instance,
+                       std::size_t p, Rng& rng, TxnId original,
+                       TxnId continuation, CommitWait wait, Tally& tally);
+
+  /// The continuation piece 1 logs: the parameters of every op after it.
+  /// Built in cont_scratch_, so a runner allocates only the payload string
+  /// (and not even that when it fits the string's inline buffer).
+  std::string continuation_payload(const TxnTypePlan& plan,
+                                   const TxnInstance& instance);
+
+  /// Metrics + trace for an original that finished all its pieces.
+  void finish(TxnRunResult& result, const TxnInstance& instance,
+              TxnId original, double latency_us);
 
   Database& db_;
   RunMetrics* metrics_;
@@ -82,6 +130,10 @@ class PieceRunner {
   std::uint64_t op_delay_max_us_ = 0;
   bool parallel_pieces_ = false;
   CommitWait commit_wait_ = CommitWait::kSync;
+  std::uint64_t max_resubmit_ = kMaxResubmit;
+  /// continuation_payload's reused buffer.  Only piece 1 encodes, and it
+  /// runs on the calling thread before any parallel fan-out.
+  Continuation cont_scratch_;
 };
 
 }  // namespace atp

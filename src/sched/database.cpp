@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fault/retry.h"
@@ -236,7 +237,10 @@ void Database::checkpoint() {
   //     staged writes;
   //   * a committed kQueueEnqueue not yet acknowledged (retransmit source);
   //   * a kQueueDeliver not yet consumed by a committed transaction
-  //     (redelivery source + dedupe evidence).
+  //     (redelivery source + dedupe evidence);
+  //   * the piece-1 commit record of an open continuation (a chopped
+  //     transaction with a piece still to run) -- and with it every later
+  //     piece's stamp, all of which follow it in LSN order.
   // Dropping any of these (the old behavior truncated at first_kv flat) made
   // a post-checkpoint crash forget in-doubt staged writes and pending queue
   // traffic -- exactly the state recovery exists to reinstate.
@@ -262,6 +266,9 @@ void Database::checkpoint() {
     }
   }
   std::uint64_t keep_from = first_kv;
+  for (const OpenContinuation& oc : open_continuations(records)) {
+    keep_from = std::min(keep_from, oc.lsn);
+  }
   for (const LogRecord& r : records) {
     bool needed = false;
     switch (r.type) {
@@ -297,7 +304,15 @@ void Database::checkpoint() {
 
 RecoveryResult Database::recover_from_wal() {
   assert(opts_.wal != nullptr && "recover_from_wal requires options().wal");
-  return recover_from_log(*opts_.wal, store_);
+  RecoveryResult result = recover_from_log(*opts_.wal, store_);
+  std::lock_guard lock(crash_mu_);
+  recovered_continuations_ = result.continuations;
+  return result;
+}
+
+std::vector<OpenContinuation> Database::take_continuations() {
+  std::lock_guard lock(crash_mu_);
+  return std::exchange(recovered_continuations_, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -317,6 +332,7 @@ Txn& Txn::operator=(Txn&& other) noexcept {
   has_snapshot_ = other.has_snapshot_;
   dc_charged_ = std::move(other.dc_charged_);
   write_set_ = std::move(other.write_set_);
+  stamp_ = std::move(other.stamp_);
   lock_stripes_ = other.lock_stripes_;
   commit_hooks_ = std::move(other.commit_hooks_);
   abort_hooks_ = std::move(other.abort_hooks_);
@@ -455,9 +471,13 @@ Status Txn::commit() {
   // commit reports success now and is covered by the next flush (a crash
   // in the window loses it -- the contract the caller chose).  Queue
   // enqueue/consume records were staged earlier, tagged with this txn id;
-  // the commit record is what activates them at recovery.
+  // the commit record is what activates them at recovery.  A chopped
+  // piece's stamp (log_piece) rides in the same commit record.
+  const Value z = db_->registry_.fuzziness_of(id_);
   if (LogDevice* wal = db_->opts_.wal; wal != nullptr) {
-    commit_lsn_ = wal->append_txn(id_, write_set_, LogRecordType::kCommit);
+    stamp_.z = z;
+    commit_lsn_ = wal->append_txn(id_, write_set_, LogRecordType::kCommit,
+                                  std::move(stamp_));
     if (topts_.wait == CommitWait::kSync) {
       db_->group_->wait_durable(commit_lsn_, id_);
     } else {
@@ -468,7 +488,6 @@ Status Txn::commit() {
   // is emitted inside the store's commit mutex (aux = commit sequence), so
   // trace order equals commit-sequence order -- what the version-aware
   // certifiers replay against.
-  const Value z = db_->registry_.fuzziness_of(id_);
   if (!write_set_.empty()) {
     db_->store_.commit_publish(
         id_, std::views::keys(write_set_), [&](std::uint64_t seq) {

@@ -159,6 +159,19 @@ class Txn {
   /// No-op without a WAL.
   void log_prepare();
 
+  /// Mark this ET as piece `piece` of the chopped transaction whose
+  /// continuation id is `continuation` (piece 1's TxnId; piece 1 passes its
+  /// own id and its encoded Continuation as `payload`).  commit() writes the
+  /// stamp into its commit record, so the piece's commit and the
+  /// continuation's progress reach the log in one append
+  /// (wal/continuation.h).  Call before commit(); meaningless without a WAL.
+  void log_piece(TxnId continuation, std::uint32_t piece,
+                 std::string payload = {}) {
+    stamp_.continuation = continuation;
+    stamp_.piece = piece;
+    stamp_.payload = std::move(payload);
+  }
+
   [[nodiscard]] TxnId id() const noexcept { return id_; }
   [[nodiscard]] TxnKind kind() const noexcept { return kind_; }
   [[nodiscard]] bool active() const noexcept { return state_ == State::Active; }
@@ -211,6 +224,8 @@ class Txn {
   /// order.  An ET writes a handful of keys, so a linear scan on rewrite
   /// beats a hash set, and commit logs the after-images straight from here.
   std::vector<std::pair<Key, Value>> write_set_;
+  /// Chopped-piece stamp for the commit record (log_piece).
+  PieceStamp stamp_;
   /// Lock-table stripes this ET ever requested a lock in (bit set before
   /// each acquire): commit/abort release only those stripes.
   LockManager::StripeMask lock_stripes_ = 0;
@@ -280,8 +295,17 @@ class Database {
 
   /// Total-loss recovery: clear the store and rebuild it from the WAL.
   /// Returns the recovery report (in-doubt 2PC transactions, queue state to
-  /// reinstate).  Requires options().wal.
+  /// reinstate, open continuations).  The open continuations also stay
+  /// with the Database until take_continuations() claims them.  Requires
+  /// options().wal.
   [[nodiscard]] RecoveryResult recover_from_wal();
+
+  /// Claim the open continuations the last recover_from_wal() found: the
+  /// chopped transactions whose piece 1 committed before the crash and
+  /// whose last piece did not.  The Executor finishes them
+  /// (PieceRunner::resume) before it admits new work; a second call
+  /// returns nothing.
+  [[nodiscard]] std::vector<OpenContinuation> take_continuations();
 
   [[nodiscard]] const DatabaseOptions& options() const noexcept {
     return opts_;
@@ -303,6 +327,8 @@ class Database {
   std::atomic<std::uint64_t> crash_epoch_{0};
   mutable OrderedMutex<LockRank::kDbCrash> crash_mu_;  ///< rank kDbCrash
   std::unordered_set<TxnId> crash_survivors_;
+  /// Open continuations from the last recovery, until claimed.
+  std::vector<OpenContinuation> recovered_continuations_;  // under crash_mu_
 
   // --- Observability (all null/zero when unconfigured) ---
   // Declaration order matters: owned_metrics_ must outlive server_ (the

@@ -248,16 +248,6 @@ Status Store::write(TxnId txn, Key key, Value value) {
   return Status::Ok();
 }
 
-std::uint64_t Store::snapshot_acquire(
-    const std::function<void(std::uint64_t)>& under_lock) {
-  std::lock_guard commit_lock(commit_mu_);
-  const std::uint64_t snap = last_commit_seq_;
-  live_snapshots_.insert(snap);
-  stats_snapshots_.fetch_add(1, std::memory_order_relaxed);  // relaxed-ok: stat
-  if (under_lock) under_lock(snap);
-  return snap;
-}
-
 void Store::snapshot_release(std::uint64_t snapshot) {
   std::lock_guard commit_lock(commit_mu_);
   auto it = live_snapshots_.find(snapshot);

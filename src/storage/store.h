@@ -29,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -64,6 +63,11 @@ struct MvccStats {
 
 class Store {
  public:
+  /// Default `under_lock` of snapshot_acquire and commit_publish.
+  struct NoHook {
+    void operator()(std::uint64_t) const noexcept {}
+  };
+
   /// Versions retained per key.  Deep enough that epoch GC (not ring
   /// overflow) is the common reclaim path under realistic query lifetimes.
   static constexpr std::size_t kVersionDepth = 12;
@@ -112,11 +116,20 @@ class Store {
 
   /// Register a live snapshot at the current commit frontier and return its
   /// sequence.  Epoch GC never reclaims a version still reachable from a
-  /// registered snapshot.  `under_lock`, when set, runs inside the commit
-  /// mutex -- callers use it to trace-order the acquisition consistently
-  /// with commit publication.  Pair with snapshot_release.
-  std::uint64_t snapshot_acquire(
-      const std::function<void(std::uint64_t)>& under_lock = nullptr);
+  /// registered snapshot.  `under_lock(snap)` runs inside the commit mutex
+  /// -- callers use it to trace-order the acquisition consistently with
+  /// commit publication.  A template, not a std::function: the begin path
+  /// passes a capturing lambda on every query ET.  Pair with
+  /// snapshot_release.
+  template <typename UnderLock = NoHook>
+  std::uint64_t snapshot_acquire(UnderLock&& under_lock = {}) {
+    std::lock_guard commit_lock(commit_mu_);
+    const std::uint64_t snap = last_commit_seq_;
+    live_snapshots_.insert(snap);
+    stats_snapshots_.fetch_add(1, std::memory_order_relaxed);  // relaxed-ok: stat
+    under_lock(snap);
+    return snap;
+  }
   void snapshot_release(std::uint64_t snapshot);
 
   /// Promote every staged dirty value of `txn` on `keys` to a new version,
@@ -124,17 +137,16 @@ class Store {
   /// on the touched cells and invokes `under_lock(seq)` inside the commit
   /// mutex (trace emission: the event order matches publication order).
   /// Returns the commit sequence (0 when `keys` is empty).
-  template <typename KeyRange>
-  std::uint64_t commit_publish(
-      TxnId txn, const KeyRange& keys,
-      const std::function<void(std::uint64_t)>& under_lock = nullptr) {
+  template <typename KeyRange, typename UnderLock = NoHook>
+  std::uint64_t commit_publish(TxnId txn, const KeyRange& keys,
+                               UnderLock&& under_lock = {}) {
     std::lock_guard commit_lock(commit_mu_);
     std::uint64_t seq = 0;
     for (const Key k : keys) {
       if (seq == 0) seq = ++last_commit_seq_;
       publish_key_locked(txn, k, seq);
     }
-    if (under_lock) under_lock(seq);
+    under_lock(seq);
     return seq;
   }
 

@@ -16,7 +16,7 @@ std::uint64_t LogDevice::append(LogRecord record) {
 
 std::uint64_t LogDevice::append_txn(
     TxnId txn, std::span<const std::pair<Key, Value>> writes,
-    LogRecordType terminal) {
+    LogRecordType terminal, PieceStamp stamp) {
   std::lock_guard lock(mu_);
   for (const auto& [key, value] : writes) {
     LogRecord& r = records_.emplace_back();
@@ -30,6 +30,12 @@ std::uint64_t LogDevice::append_txn(
   t.lsn = next_lsn_++;
   t.type = terminal;
   t.txn = txn;
+  if (stamp.continuation != kInvalidTxn) {
+    t.key = stamp.continuation;
+    t.piece = stamp.piece;
+    t.value = stamp.z;
+    t.payload = std::move(stamp.payload);
+  }
   return t.lsn;
 }
 

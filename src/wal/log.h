@@ -9,6 +9,9 @@
 //     committer (wal/group_commit.h) to cover the record's LSN with an
 //     fsync, async commits return at append and become durable at the next
 //     group flush;
+//   * the pieces of a chopped transaction stamp their commit records with
+//     its continuation (wal/continuation.h), so only the last piece has to
+//     wait for a flush: the log is durable in LSN order;
 //   * 2PC participants append a PREPARE record when voting (the force-log
 //     the paper's failure model relies on);
 //   * recovery replays the log from the last checkpoint: writes of
@@ -21,7 +24,7 @@
 //
 // "Disk" is a LogDevice: an append-only record vector that survives
 // Database/Site crashes (it lives outside them), with fsync counting so
-// tests can assert the force-at-commit discipline, and an optional simulated
+// tests can assert the group-commit budget, and an optional simulated
 // fsync latency so group-commit batching behaves like a real device.
 #pragma once
 
@@ -60,8 +63,14 @@ enum class LogRecordType : std::uint8_t {
 struct LogRecord {
   std::uint64_t lsn = 0;
   LogRecordType type = LogRecordType::kBegin;
+  /// kCommit of a chopped piece: its piece index (0 = piece 1).
+  std::uint32_t piece = 0;
   TxnId txn = kInvalidTxn;
+  /// kWrite/kCheckpointKv: the key written.  kCommit of a chopped piece:
+  /// the continuation id (piece 1's TxnId; wal/continuation.h).
   Key key = 0;
+  /// kWrite/kCheckpointKv: the after-image.  kCommit of a chopped piece:
+  /// the piece's fuzziness Z_p at commit.
   Value value = 0;
   /// Queue records: message id and queue name.
   std::uint64_t qmsg_id = 0;
@@ -69,7 +78,17 @@ struct LogRecord {
   SiteId peer = 0;
   /// Queue message payload, serialized to bytes.  What goes to "disk" is
   /// exactly what comes back at recovery -- no erased types on the log.
+  /// kCommit of piece 1 of a chopped transaction: its continuation.
   std::string payload;
+};
+
+/// What the commit record of one piece of a chopped transaction carries
+/// (LogRecord::key, piece, value and payload; wal/continuation.h).
+struct PieceStamp {
+  TxnId continuation = kInvalidTxn;  ///< kInvalidTxn: not a logged piece
+  std::uint32_t piece = 0;
+  Value z = 0;
+  std::string payload;  ///< encoded Continuation (piece 1 only)
 };
 
 /// The append-only "disk".  Survives crashes of everything above it.
@@ -82,15 +101,16 @@ class LogDevice {
   /// (key, value) in `writes`, in order -- and then its `terminal` record
   /// (kCommit or kPrepare), all under one device lock.  The records get
   /// contiguous LSNs with the terminal record last, so a commit costs one
-  /// lock round trip however many keys it wrote.  Returns the terminal
+  /// lock round trip however many keys it wrote.  `stamp` goes into the
+  /// terminal record when its continuation is set.  Returns the terminal
   /// record's LSN.
   std::uint64_t append_txn(TxnId txn,
                            std::span<const std::pair<Key, Value>> writes,
-                           LogRecordType terminal);
+                           LogRecordType terminal, PieceStamp stamp = {});
 
   /// Force to stable storage: every record appended before the call becomes
   /// durable.  A no-op for memory, but counted: tests assert the
-  /// force-at-commit discipline through this number.  Returns false if an
+  /// group-commit budget through this number.  Returns false if an
   /// attached fault injector failed this attempt (nothing became durable);
   /// callers on commit-critical paths must retry until true before
   /// reporting success.  With a nonzero simulated latency the call sleeps

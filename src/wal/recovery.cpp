@@ -105,6 +105,8 @@ RecoveryResult recover_from_log(const LogDevice& log, Store& store) {
       }
     }
   }
+  result.continuations =
+      open_continuations(records, &result.rejected_continuations);
   return result;
 }
 

@@ -8,13 +8,16 @@
 //   4. surface PREPAREd-but-undecided transactions (in-doubt) with their
 //      staged after-images so a 2PC participant can reinstate them;
 //   5. rebuild recoverable-queue durable state: outbound = enqueued - acked,
-//      inbound = delivered - consumed (per queue, in delivery order).
+//      inbound = delivered - consumed (per queue, in delivery order);
+//   6. list the chopped transactions whose piece 1 committed but whose
+//      last piece did not (open continuations, wal/continuation.h).
 #pragma once
 
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "wal/continuation.h"
 #include "wal/log.h"
 
 namespace atp {
@@ -43,6 +46,10 @@ struct RecoveryResult {
   /// Highest queue-message id observed anywhere in the log; the endpoint's
   /// id counter resumes above it so dedupe stays sound across restarts.
   std::uint64_t max_qmsg_id = 0;
+  /// Chopped transactions to finish (PieceRunner::resume), oldest first.
+  std::vector<OpenContinuation> continuations;
+  /// Continuation payloads that failed to decode (never resumed).
+  std::size_t rejected_continuations = 0;
 };
 
 /// Rebuild `store` (cleared first) from the stable log.  Returns what else

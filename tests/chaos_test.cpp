@@ -9,7 +9,9 @@
 //     (replayed from the full trace, crashes included);
 //   * recovery -- an independent recover_from_log() replay of each site's
 //     WAL reproduces exactly the live committed account state (redo
-//     discipline held under injected fsync failures and torn tails);
+//     discipline held under injected fsync failures and torn tails), and a
+//     local chopped transaction cut off by a crash at any piece boundary is
+//     finished from its logged continuation;
 //   * determinism -- the injector's decisions are pure in (seed, identity,
 //     attempt), witnessed by the scripted-feed reproducibility tests.
 //
@@ -32,6 +34,7 @@
 #include "common/rng.h"
 #include "dist/coordinator.h"
 #include "dist/site.h"
+#include "engine/executor.h"
 #include "engine/method.h"
 #include "fault/fault.h"
 #include "fault/retry.h"
@@ -39,6 +42,7 @@
 #include "storage/store.h"
 #include "trace/tracer.h"
 #include "wal/recovery.h"
+#include "workload/banking.h"
 
 namespace atp {
 namespace {
@@ -495,6 +499,75 @@ TEST(Chaos, CrashBetweenDequeueAndCommitDoesNotDoubleRun) {
   EXPECT_EQ(total, 3 * kInitial);
   EXPECT_EQ(rig.balance(1, kAccount1), kInitial + 5);
   EXPECT_EQ(rig.balance(2, kAccount2), kInitial + 5);
+}
+
+// Theorem 1 across a crash, in the local engine: once piece 1 of a chopped
+// transfer commits, the transfer commits, wherever the crash falls.  The
+// log becomes durable in LSN order, so every prefix of it is a legal crash
+// state; the ones that matter end at a piece boundary -- the commit record
+// of a piece that is not its original's last.  From each, a fresh Database
+// recovers, the executor finishes the open continuations before any new
+// work, and the books must balance with a clean ESR verdict.
+TEST(Chaos, ChoppedTransfersFinishFromEveryPieceBoundary) {
+  BankingConfig cfg;
+  cfg.branches = 2;
+  cfg.accounts_per_branch = 8;
+  cfg.hops = 2;  // a transfer chops into three pieces: two boundaries
+  cfg.branch_audit_fraction = 0.1;
+  cfg.global_audit_fraction = 0;
+  cfg.update_epsilon = 2000;
+  cfg.query_epsilon = 4000;
+  const Workload w = make_banking(cfg, 40, /*seed=*/17);
+  const MethodConfig method = MethodConfig::method3(DistPolicy::Dynamic);
+  auto plan = ExecutionPlan::build(w.types, method);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan.value().types[0].piece_ranges.size(), 3u);  // xfer_0_1
+
+  LogDevice wal;
+  {
+    DatabaseOptions o = Executor::database_options(method);
+    o.wal = &wal;
+    Database db(o);
+    w.load_into(db);
+    db.checkpoint();  // the opening balances go on the log
+    ExecutorOptions eo;
+    eo.workers = 3;
+    eo.seed = 5;
+    const ExecutorReport rep =
+        Executor::run(db, plan.value(), w.instances, eo);
+    ASSERT_EQ(rep.committed + rep.rolled_back, w.instances.size());
+  }
+  const std::vector<LogRecord> records = wal.records();
+  ASSERT_EQ(records.front().lsn, 1u);  // untruncated: a prefix keeps its LSNs
+
+  std::size_t boundaries = 0;
+  for (const LogRecord& cut : records) {
+    if (cut.type != LogRecordType::kCommit || cut.key == kInvalidTxn) continue;
+    LogDevice prefix;
+    for (const LogRecord& r : records) {
+      if (r.lsn > cut.lsn) break;
+      prefix.append(r);
+    }
+    Tracer tracer(1 << 14);
+    DatabaseOptions o = Executor::database_options(method);
+    o.wal = &prefix;
+    o.tracer = &tracer;
+    Database db(o);
+    const RecoveryResult rec = db.recover_from_wal();
+    if (rec.continuations.empty()) continue;  // cut at an original's end
+    ++boundaries;
+    const ExecutorReport rep = Executor::run(db, plan.value(), {});
+    EXPECT_EQ(rep.resumed, rec.continuations.size())
+        << "crash at LSN " << cut.lsn;
+    Value money = 0;
+    for (const auto& [k, v] : db.store().snapshot_committed()) money += v;
+    EXPECT_EQ(money, w.total_money) << "crash at LSN " << cut.lsn;
+    const EsrReport esr = certify_esr(tracer.collect(), tracer.dropped());
+    EXPECT_TRUE(esr.ok) << "crash at LSN " << cut.lsn << ": "
+                        << esr.describe();
+  }
+  // Nearly every instance is a transfer with two boundaries.
+  EXPECT_GT(boundaries, w.instances.size());
 }
 
 }  // namespace

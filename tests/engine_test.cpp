@@ -8,6 +8,8 @@
 #include "engine/executor.h"
 #include "engine/piece_runner.h"
 #include "engine/plan.h"
+#include "wal/log.h"
+#include "wal/recovery.h"
 #include "workload/banking.h"
 
 namespace atp {
@@ -195,6 +197,139 @@ TEST_F(PieceRunnerTest, QueryObservedResultAndErrorMetric) {
   EXPECT_TRUE(r.committed);
   EXPECT_EQ(r.observed_result, 2000);
   EXPECT_EQ(metrics.query_error.summarize().max, 0);
+}
+
+// --- PieceRunner over a WAL: continuations and the log-force budget ------
+
+DatabaseOptions wal_db_options(LogDevice* wal) {
+  DatabaseOptions o;
+  o.scheduler = SchedulerKind::DC;
+  o.lock_timeout = std::chrono::milliseconds(1);
+  o.wal = wal;
+  return o;
+}
+
+TEST(PieceRunnerWal, OneSyncCommitPerTwoPieceOriginal) {
+  // Piece 1 commits kAsync (its continuation is on the log), the last
+  // piece waits: N two-piece originals cost N sync commits, not 2N.
+  auto plan =
+      ExecutionPlan::build({transfer_type(40, 100)}, MethodConfig::method1());
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan.value().types[0].piece_ranges.size(), 2u);
+  LogDevice wal;
+  Database db(wal_db_options(&wal));
+  db.load(X, 1000);
+  db.load(Y, 1000);
+  PieceRunner runner(db, nullptr);
+  Rng rng(3);
+  constexpr std::uint64_t kOriginals = 20;
+  TxnInstance inst;
+  inst.ops = {Access::add(X, -1, 40), Access::add(Y, +1, 40)};
+  for (std::uint64_t i = 0; i < kOriginals; ++i) {
+    ASSERT_TRUE(runner.run(plan.value().types[0], inst, DistPolicy::Static,
+                           rng)
+                    .committed);
+  }
+  const GroupCommitStats gs = db.group_committer()->stats();
+  EXPECT_EQ(gs.sync_commits, kOriginals);
+  EXPECT_EQ(gs.async_commits, kOriginals);
+  EXPECT_GE(wal.durable_lsn(), wal.next_lsn() - 1);  // all of it durable
+  EXPECT_EQ(db.store().read_committed(Y).value(), 1000 + Value(kOriginals));
+  // Every continuation the run opened was finished on the log.
+  EXPECT_TRUE(recover_from_log(wal, db.store()).continuations.empty());
+}
+
+TEST(PieceRunnerWal, GiveUpReportsNoCommitAndLeavesTheContinuationOpen) {
+  // A lock held for good makes piece 2 time out on every attempt.  At the
+  // resubmission cap the runner gives up: the original did not commit, so
+  // it must not say it did -- and its continuation stays on the log for
+  // resume() once the lock is gone.
+  auto plan =
+      ExecutionPlan::build({transfer_type(40, 100)}, MethodConfig::method1());
+  ASSERT_TRUE(plan.ok());
+  LogDevice wal;
+  Database db(wal_db_options(&wal));
+  db.load(X, 1000);
+  db.load(Y, 1000);
+  db.checkpoint();  // the loaded balances reach the log
+
+  Txn holder = db.begin(TxnKind::Update, EpsilonSpec::serializable());
+  ASSERT_TRUE(holder.write(Y, 1000).ok());  // X lock on Y, never released
+  PieceRunner runner(db, nullptr);
+  runner.set_max_resubmit(3);
+  Rng rng(5);
+  TxnInstance inst;
+  inst.ops = {Access::add(X, -25, 40), Access::add(Y, +25, 40)};
+  const TxnRunResult r =
+      runner.run(plan.value().types[0], inst, DistPolicy::Static, rng);
+  EXPECT_FALSE(r.committed);
+  EXPECT_FALSE(r.rolled_back);
+  EXPECT_EQ(r.resubmissions, 3u);
+  EXPECT_EQ(db.store().read_committed(X).value(), 975);  // piece 1 is in
+  holder.abort();
+
+  // Crash and recover: the continuation is open, and the executor finishes
+  // it before any new work.
+  db.group_committer()->flush(1);
+  const RecoveryResult rec = db.recover_from_wal();
+  ASSERT_EQ(rec.continuations.size(), 1u);
+  EXPECT_EQ(rec.continuations[0].done.size(), 1u);
+  const ExecutorReport report = Executor::run(db, plan.value(), {});
+  EXPECT_EQ(report.resumed, 1u);
+  EXPECT_EQ(db.store().read_committed(X).value(), 975);
+  EXPECT_EQ(db.store().read_committed(Y).value(), 1025);
+  EXPECT_TRUE(db.take_continuations().empty());
+  EXPECT_TRUE(recover_from_log(wal, db.store()).continuations.empty());
+}
+
+TEST(PieceRunnerWal, ResumeRunsOnlyThePiecesWithoutACommit) {
+  // Four pieces; the log holds commits of pieces 1 and 2.  Resume must run
+  // pieces 3 and 4 exactly once each, stamped with the same continuation.
+  const TxnProgram t = ProgramBuilder("chain", TxnKind::Update)
+                           .add(X, -1, 1)
+                           .add(Y, +1, 1)
+                           .add(Y, -1, 1)
+                           .add(X, +1, 1)
+                           .epsilon(100)
+                           .build();
+  auto plan = ExecutionPlan::build({t}, MethodConfig::sr_chop_cc());
+  ASSERT_TRUE(plan.ok());
+  const TxnTypePlan& tp = plan.value().types[0];
+  ASSERT_EQ(tp.piece_ranges.size(), 4u);
+  LogDevice wal;
+  Database db(wal_db_options(&wal));
+  db.load(X, 100);
+  db.load(Y, 100);
+  TxnInstance inst;
+  inst.ops = {Access::add(X, -7, 1), Access::add(Y, +7, 1),
+              Access::add(Y, -3, 1), Access::add(X, +3, 1)};
+  PieceRunner runner(db, nullptr);
+  Rng rng(9);
+  ASSERT_TRUE(runner.run(tp, inst, DistPolicy::Static, rng).committed);
+  // Cut the log after piece 2's commit record (a legal crash state).
+  std::vector<LogRecord> records = wal.records();
+  std::uint64_t cut = 0;
+  for (const LogRecord& r : records) {
+    if (r.type == LogRecordType::kCommit && r.piece == 1) cut = r.lsn;
+  }
+  ASSERT_GT(cut, 0u);
+  LogDevice prefix;
+  for (const LogRecord& r : records) {
+    if (r.lsn <= cut) prefix.append(r);
+  }
+  Database fresh(wal_db_options(&prefix));
+  const RecoveryResult rec = fresh.recover_from_wal();
+  ASSERT_EQ(rec.continuations.size(), 1u);
+  EXPECT_EQ(rec.continuations[0].done.size(), 2u);
+  EXPECT_EQ(fresh.store().read_committed(X).value(), 93);  // after-images
+  EXPECT_EQ(fresh.store().read_committed(Y).value(), 107);
+  PieceRunner again(fresh, nullptr);
+  EXPECT_TRUE(
+      again.resume(tp, rec.continuations[0], DistPolicy::Static, rng)
+          .committed);
+  EXPECT_EQ(fresh.store().read_committed(X).value(), 96);
+  EXPECT_EQ(fresh.store().read_committed(Y).value(), 104);
+  EXPECT_TRUE(recover_from_log(prefix, fresh.store()).continuations.empty());
 }
 
 // --- Executor across every Table-1 cell ----------------------------------

@@ -1,6 +1,6 @@
 // Write-ahead log + recovery: redo-only replay, checkpointing, in-doubt 2PC
-// state, log-backed recoverable queues, and randomized crash-replay
-// properties (committed-prefix atomicity).
+// state, log-backed recoverable queues, chopped-transaction continuations,
+// and randomized crash-replay properties (committed-prefix atomicity).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include "net/network.h"
 #include "queue/recoverable_queue.h"
 #include "sched/database.h"
+#include "wal/continuation.h"
 #include "wal/log.h"
 #include "wal/recovery.h"
 
@@ -646,6 +647,164 @@ TEST(QueueWal, ClaimedButUncommittedConsumeComesBack) {
   reborn.restore_from(recover_from_log(log, scratch));
   EXPECT_EQ(reborn.depth("q"), 1u);  // redelivered
   t.abort();
+}
+
+// --- chopped-transaction continuations -------------------------------------
+
+Continuation two_piece_continuation(Key to, Value amount) {
+  Continuation c;
+  c.type_index = 3;
+  c.piece_count = 2;
+  c.first_op = 1;
+  c.ops = {ContinuationOp{/*Add*/ 1, to, amount}};
+  return c;
+}
+
+/// Commit a one-key update as piece `piece` of `continuation` (piece 0
+/// passes kInvalidTxn and opens a continuation under its own id).  Returns
+/// the committed transaction's id.
+TxnId commit_piece(Database& db, TxnId continuation, std::uint32_t piece,
+                   Key key, Value delta, CommitWait wait,
+                   std::uint64_t* lsn = nullptr) {
+  Txn t = db.begin(TxnKind::Update, EpsilonSpec::serializable(), kInvalidTxn,
+                   TxnOptions{wait});
+  EXPECT_TRUE(t.add(key, delta).ok());
+  if (piece == 0) {
+    t.log_piece(t.id(), 0,
+                encode_continuation(two_piece_continuation(key + 1, -delta)));
+  } else {
+    t.log_piece(continuation, piece);
+  }
+  EXPECT_TRUE(t.commit().ok());
+  if (lsn != nullptr) *lsn = t.commit_lsn();
+  return t.id();
+}
+
+TEST(Continuation, EncodingRoundTrips) {
+  Continuation c = two_piece_continuation(42, 17.5);
+  c.ops.push_back(ContinuationOp{/*Write*/ 2, 43, -3});
+  c.piece_count = 3;
+  const std::optional<Continuation> back =
+      decode_continuation(encode_continuation(c));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, c);
+}
+
+TEST(Continuation, ATransfersContinuationNeedsNoHeapAllocation) {
+  // A banking transfer's piece 2: one Add of a whole amount to an account
+  // key.  Its payload fits std::string's inline buffer.
+  const std::string bytes =
+      encode_continuation(two_piece_continuation(1'019'999, -50));
+  EXPECT_LE(bytes.size(), std::string().capacity());
+}
+
+TEST(Continuation, TruncatedOrCorruptPayloadIsRejected) {
+  Continuation c = two_piece_continuation(42, 17.5);
+  c.ops.push_back(ContinuationOp{/*Read*/ 0, 43, 0});
+  const std::string bytes = encode_continuation(c);
+  // Every strict prefix -- a payload torn anywhere -- and a padded one.
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    EXPECT_FALSE(decode_continuation(std::string_view(bytes).substr(0, n)))
+        << "prefix of " << n << " bytes";
+  }
+  EXPECT_FALSE(decode_continuation(bytes + '\0'));
+  // An op type past AccessType::Write, and a single-piece "continuation".
+  Continuation bad_op = c;
+  bad_op.ops[0].type = 3;
+  EXPECT_FALSE(decode_continuation(encode_continuation(bad_op)));
+  // An op count larger than the bytes that follow could ever hold.
+  std::string huge_count = bytes;
+  huge_count[3] = char(0x7f);
+  EXPECT_FALSE(decode_continuation(huge_count));
+  Continuation one_piece = c;
+  one_piece.piece_count = 1;
+  EXPECT_FALSE(decode_continuation(encode_continuation(one_piece)));
+
+  // Recovery counts the bad payload and resumes nothing from it.
+  LogDevice log;
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  commit.txn = 7;
+  commit.key = 7;
+  commit.payload = bytes.substr(0, bytes.size() - 1);
+  log.append(commit);
+  Store store;
+  const RecoveryResult r = recover_from_log(log, store);
+  EXPECT_TRUE(r.continuations.empty());
+  EXPECT_EQ(r.rejected_continuations, 1u);
+}
+
+TEST(Continuation, RecoveryListsOnlyUnfinishedOriginals) {
+  LogDevice log;
+  Database db(wal_options(&log));
+  for (Key k = 1; k <= 4; ++k) db.load(k, 100);
+  const TxnId a = commit_piece(db, kInvalidTxn, 0, 1, -5, CommitWait::kSync);
+  const TxnId b = commit_piece(db, kInvalidTxn, 0, 3, -6, CommitWait::kSync);
+  (void)commit_piece(db, b, 1, 4, +6, CommitWait::kSync);
+  const RecoveryResult r = db.recover_from_wal();
+  ASSERT_EQ(r.continuations.size(), 1u);
+  const OpenContinuation& open = r.continuations[0];
+  EXPECT_EQ(open.id, a);
+  EXPECT_EQ(open.cont, two_piece_continuation(2, 5));
+  ASSERT_EQ(open.done.size(), 1u);
+  EXPECT_EQ(open.done[0].first, 0u);
+  // The Database holds them for the executor until claimed, once.
+  EXPECT_EQ(db.take_continuations().size(), 1u);
+  EXPECT_TRUE(db.take_continuations().empty());
+}
+
+TEST(Continuation, AsyncPieceReadByAQueryIsDurableWhenTheQueryReturns) {
+  // Piece 1 commits kAsync; a query reads its version and commits.  The
+  // query's commit record follows the version's in the log, so its flush
+  // covers piece 1: no query returns a value a crash can erase.
+  LogDevice log;
+  Database db(wal_options(&log));
+  db.load(1, 100);
+  std::uint64_t piece_lsn = 0;
+  (void)commit_piece(db, kInvalidTxn, 0, 1, -5, CommitWait::kAsync,
+                     &piece_lsn);
+  EXPECT_LT(log.durable_lsn(), piece_lsn);  // still volatile
+  Txn q = db.begin(TxnKind::Query, EpsilonSpec::serializable());
+  const Result<Value> v = q.read(1);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.value(), 95);  // the async piece's version
+  ASSERT_TRUE(q.commit().ok());
+  EXPECT_GE(log.durable_lsn(), piece_lsn);
+}
+
+TEST(Continuation, CheckpointKeepsOpenContinuationsAndDropsFinishedOnes) {
+  LogDevice log;
+  Database db(wal_options(&log));
+  for (Key k = 1; k <= 4; ++k) db.load(k, 100);
+  db.checkpoint();
+  // B opens and finishes; A opens after it and stays open.
+  const TxnId b = commit_piece(db, kInvalidTxn, 0, 3, -6, CommitWait::kSync);
+  (void)commit_piece(db, b, 1, 4, +6, CommitWait::kSync);
+  std::uint64_t a_lsn = 0;
+  const TxnId a =
+      commit_piece(db, kInvalidTxn, 0, 1, -5, CommitWait::kSync, &a_lsn);
+  db.checkpoint();
+
+  const std::vector<LogRecord> kept = log.records();
+  ASSERT_FALSE(kept.empty());
+  EXPECT_EQ(kept.front().lsn, a_lsn);  // A's opening record survives...
+  for (const LogRecord& r : kept) {   // ...and nothing of finished B does
+    EXPECT_FALSE(r.type == LogRecordType::kCommit && r.key == b);
+  }
+  RecoveryResult r = db.recover_from_wal();
+  ASSERT_EQ(r.continuations.size(), 1u);
+  EXPECT_EQ(r.continuations[0].id, a);
+  EXPECT_EQ(db.store().read_committed(1).value(), 95);
+  EXPECT_EQ(db.store().read_committed(3).value(), 94);
+
+  // Once A finishes, the next checkpoint truncates down to itself.
+  (void)commit_piece(db, a, 1, 2, +5, CommitWait::kSync);
+  const std::uint64_t before = log.next_lsn();
+  db.checkpoint();
+  EXPECT_GE(log.records().front().lsn, before);
+  r = db.recover_from_wal();
+  EXPECT_TRUE(r.continuations.empty());
+  EXPECT_EQ(db.store().read_committed(2).value(), 105);
 }
 
 // --- randomized crash-replay property --------------------------------------

@@ -1,6 +1,7 @@
 // Component micro-benchmarks (google-benchmark): the building blocks whose
 // costs underlie the system-level numbers -- lock acquisition and release,
-// the ET registry round trip, a WAL-backed sync commit, a chopped transfer
+// the store's update read-modify-write and publication, the ET registry
+// round trip, a WAL-backed sync commit, a chopped transfer
 // over the WAL, chopping-graph analysis, and the finest-chopping searches.
 //
 // The obs group doubles as the instrumentation-overhead experiment: build
@@ -17,6 +18,7 @@
 #include "lock/lock_manager.h"
 #include "obs/metrics_registry.h"
 #include "sched/database.h"
+#include "storage/store.h"
 #include "txn/registry.h"
 #include "wal/log.h"
 #include "workload/banking.h"
@@ -25,15 +27,24 @@ namespace atp {
 namespace {
 
 void BM_LockAcquireReleaseUncontended(benchmark::State& state) {
-  LockManager locks;
-  TxnId txn = 1;
+  // An X lock granted on first evaluation, released through the ET's
+  // touched-stripe mask.  Each thread locks its own key in its own stripe,
+  // so with 4 threads any slowdown over 1 is a lock that is global to the
+  // lock manager rather than to the stripe.
+  static LockManager locks;
+  Key key = 1;
+  while (LockManager::stripe_index(key) != std::size_t(state.thread_index())) {
+    ++key;
+  }
+  const LockManager::StripeMask mask = LockManager::stripe_bit(key);
+  TxnId txn = (TxnId(state.thread_index()) << 40) + 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(locks.acquire(txn, 1, LockMode::Exclusive));
-    locks.release_all(txn);
+    benchmark::DoNotOptimize(locks.acquire(txn, key, LockMode::Exclusive));
+    locks.release_all(txn, mask);
     ++txn;
   }
 }
-BENCHMARK(BM_LockAcquireReleaseUncontended);
+BENCHMARK(BM_LockAcquireReleaseUncontended)->Threads(1)->Threads(4);
 
 void BM_LockSharedReentrant(benchmark::State& state) {
   LockManager locks;
@@ -65,6 +76,26 @@ void BM_ReleaseAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReleaseAll)->ArgName("touched_only")->Arg(0)->Arg(1);
+
+void BM_StoreStageAddPublish(benchmark::State& state) {
+  // The store's share of one update op and its commit: the read-modify-write
+  // an ET's add makes (one map lookup, one stripe lock) and the version
+  // publication under the commit mutex.  Each thread adds to its own key,
+  // so threads meet only on the commit mutex.
+  static Store store;
+  const Key key = Key(state.thread_index()) + 1;
+  if (state.thread_index() == 0) {
+    for (Key k = 1; k <= Key(state.threads()); ++k) (void)store.load(k, 0);
+  }
+  const Key keys[] = {key};
+  TxnId txn = (TxnId(state.thread_index()) << 40) + 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.stage_add(txn, key, 1));
+    benchmark::DoNotOptimize(store.commit_publish(txn, keys));
+    ++txn;
+  }
+}
+BENCHMARK(BM_StoreStageAddPublish)->Threads(1)->Threads(4);
 
 void BM_RegistryBeginEndCommit(benchmark::State& state) {
   // One ET's registry round trip: register at begin, retire at commit.

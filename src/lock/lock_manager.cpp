@@ -43,33 +43,25 @@ Status LockManager::acquire_impl(TxnId txn, Key key, LockMode mode,
     }
   }
 
+  // Fast path: a request granted on its first evaluation never became a
+  // waiter, so it has no queue entry, no `waiting` slot and no wait edges to
+  // retract, and needs no deadline -- it touches nothing outside its stripe.
+  // Every queued waiter counts as "ahead" here.
   Waiter self{txn, mode, /*cancelled=*/false, {}};
-  bool queued = false;
-  bool counted_wait = false;
-  const auto deadline = std::chrono::steady_clock::now() + timeout_;
+  if (evaluate(key, s, q, self) == Decision::Granted) return Status::Ok();
 
+  // Blocked: register as a waiter, publish the wait edges evaluate() left in
+  // self for the deadlock DFS, and arm the timeout.
+  q.waiters.push_back(&self);
+  const auto deadline = std::chrono::steady_clock::now() + timeout_;
+  bool counted_wait = false;
   auto cleanup = [&] {
-    if (queued) q.waiters.remove(&self);
+    q.waiters.remove(&self);
     s.waiting.erase(txn);
     retract_wait_edges(txn);
   };
 
   for (;;) {
-    if (self.cancelled) {
-      cleanup();
-      return Status::Aborted("lock wait cancelled");
-    }
-    // Before queueing, every queued waiter counts as "ahead", and the
-    // waits-for edges land in self for the deadlock DFS that runs right
-    // after.
-    if (evaluate(key, s, q, self) == Decision::Granted) {
-      cleanup();
-      return Status::Ok();
-    }
-    if (!queued) {
-      q.waiters.push_back(&self);
-      queued = true;
-    }
     s.waiting[txn] = &self;
     s.max_waiters = std::max<std::uint64_t>(s.max_waiters, s.waiting.size());
     if (publish_and_check_deadlock(txn, self)) {
@@ -98,6 +90,14 @@ Status LockManager::acquire_impl(TxnId txn, Key key, LockMode mode,
                    mode == LockMode::Exclusive ? kTraceModeExclusive : 0);
       cleanup();
       return Status::Timeout("lock wait on key " + std::to_string(key));
+    }
+    if (self.cancelled) {
+      cleanup();
+      return Status::Aborted("lock wait cancelled");
+    }
+    if (evaluate(key, s, q, self) == Decision::Granted) {
+      cleanup();
+      return Status::Ok();
     }
   }
 }

@@ -9,10 +9,12 @@
 // Scalability: the lock table is partitioned into N stripes keyed by
 // hash(key) % N.  Each stripe owns its mutex, condition variable, wait
 // queues, per-transaction held-key index and wait/timeout statistics, so
-// acquires and releases on different stripes never contend.  What cannot be
-// striped is the waits-for relation: a transaction blocked in stripe A may
-// wait for a transaction blocked in stripe B, so deadlock cycles cross
-// stripes.  Wait edges are therefore *published* to one global wait graph
+// acquires and releases on different stripes never contend.  A request
+// granted on its first evaluation touches nothing but its stripe: it never
+// registers as a waiter, publishes no wait edges and arms no timeout.  What
+// cannot be striped is the waits-for relation, which only a request that
+// blocks ever touches: a transaction blocked in stripe A may wait for a
+// transaction blocked in stripe B, so deadlock cycles cross stripes.  Wait edges are therefore *published* to one global wait graph
 // (its own small mutex, ordered strictly after any stripe mutex) and the
 // deadlock DFS runs there.  Publication happens before the DFS under the
 // same wait-graph lock, so a cycle formed by concurrent blockers in

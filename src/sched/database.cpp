@@ -378,18 +378,10 @@ Result<Value> Txn::read(Key key) {
   // Holding S excludes every foreign writer, so a dirty value here can only
   // be our own staged write (we hold X too); it is traced with the own-write
   // sentinel instead of a version sequence.
-  if (db_->store_.dirty_writer(key) == std::optional<TxnId>(id_)) {
-    Result<Value> v = db_->store_.read_latest(key);
-    if (v.ok()) {
-      Tracer::emit(db_->opts_.tracer, TraceKind::Read, db_->opts_.site_id,
-                   id_, key, v.value(), 0, ~std::uint64_t{0});
-    }
-    return v;
-  }
-  Result<VersionRead> v = db_->store_.read_latest_versioned(key);
+  Result<OwnedRead> v = db_->store_.read_for_update(id_, key);
   if (!v.ok()) return v.status();
   Tracer::emit(db_->opts_.tracer, TraceKind::Read, db_->opts_.site_id, id_,
-               key, v.value().value, 0, v.value().seq + 1);
+               key, v.value().value, 0, v.value().trace_version);
   return v.value().value;
 }
 
@@ -407,6 +399,11 @@ Status Txn::write(Key key, Value value) {
   if (!s.ok()) return s;
   Status w = db_->store_.write(id_, key, value);
   if (!w.ok()) return w;
+  note_staged(key, value);
+  return Status::Ok();
+}
+
+void Txn::note_staged(Key key, Value value) {
   auto staged = std::find_if(write_set_.begin(), write_set_.end(),
                              [key](const auto& kv) { return kv.first == key; });
   if (staged == write_set_.end()) {
@@ -416,7 +413,6 @@ Status Txn::write(Key key, Value value) {
   }
   Tracer::emit(db_->opts_.tracer, TraceKind::Write, db_->opts_.site_id, id_,
                key, value);
-  return Status::Ok();
 }
 
 Status Txn::add(Key key, Value delta) {
@@ -429,21 +425,15 @@ Status Txn::add(Key key, Value delta) {
   Status s = db_->locks_.acquire(id_, key, LockMode::Exclusive);
   if (!s.ok()) return s;
 
-  Result<Value> old_latest = db_->store_.read_latest(key);
-  if (!old_latest.ok()) return old_latest.status();
-  // Version stamp for the trace: our own staged value (re-add on a key we
-  // already wrote) gets the own-write sentinel, otherwise the committed
-  // version we are basing the increment on.
-  std::uint64_t read_aux = ~std::uint64_t{0};
-  if (db_->store_.dirty_writer(key) != std::optional<TxnId>(id_)) {
-    Result<VersionRead> vr = db_->store_.read_latest_versioned(key);
-    if (vr.ok()) read_aux = vr.value().seq + 1;
-  }
+  // One store visit reads the base -- our own staged value (a re-add on a
+  // key we already wrote, traced with the own-write sentinel) or the
+  // committed version the increment builds on -- and stages base + delta.
+  Result<OwnedRead> base = db_->store_.stage_add(id_, key, delta);
+  if (!base.ok()) return base.status();
   Tracer::emit(db_->opts_.tracer, TraceKind::Read, db_->opts_.site_id, id_,
-               key, old_latest.value(), 0, read_aux);
-  // Delegate to write() for the staged write.  The X lock is already held,
-  // so the inner acquire is a re-entrant no-op.
-  return write(key, old_latest.value() + delta);
+               key, base.value().value, 0, base.value().trace_version);
+  note_staged(key, base.value().value + delta);
+  return Status::Ok();
 }
 
 Status Txn::commit() {

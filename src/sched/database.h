@@ -198,6 +198,10 @@ class Txn {
 
   Txn(Database* db, TxnId id, TxnKind kind) : db_(db), id_(id), kind_(kind) {}
 
+  /// Record a value just staged in the store on `key`: the write set entry
+  /// commit logs and publishes, and the trace Write.
+  void note_staged(Key key, Value value);
+
   /// Drop the registered store snapshot, if any (commit/abort/move-out).
   void release_snapshot() noexcept;
 

@@ -120,11 +120,7 @@ Result<Value> Store::read_committed(Key key) const {
   return r.value().value;
 }
 
-Result<VersionRead> Store::read_latest_versioned(Key key) const {
-  std::shared_lock map_lock(map_mu_);
-  auto it = cells_.find(key);
-  if (it == cells_.end()) return Status::NotFound("key " + std::to_string(key));
-  const Cell& cell = it->second;
+Result<VersionRead> Store::latest_of(const Cell& cell, Key key) {
   for (;;) {
     const std::uint32_t head = cell.head.load(std::memory_order_acquire);
     if (auto r = try_read_slot(cell.versions[head])) return *r;
@@ -137,12 +133,8 @@ Result<VersionRead> Store::read_latest_versioned(Key key) const {
   }
 }
 
-Result<VersionRead> Store::read_snapshot(Key key,
-                                         std::uint64_t snapshot) const {
-  std::shared_lock map_lock(map_mu_);
-  auto it = cells_.find(key);
-  if (it == cells_.end()) return Status::NotFound("key " + std::to_string(key));
-  const Cell& cell = it->second;
+Result<VersionRead> Store::snapshot_of(const Cell& cell, Key key,
+                                       std::uint64_t snapshot) const {
   // Bounded validated scan: if publications land while we walk the ring, a
   // slot we already passed may have held the true newest-at-snapshot version,
   // so the result is only accepted when the push counter held still.
@@ -177,41 +169,65 @@ Result<VersionRead> Store::read_snapshot(Key key,
                          std::to_string(key));
 }
 
-Result<Value> Store::read_latest(Key key) const {
-  {
-    std::shared_lock map_lock(map_mu_);
-    auto it = cells_.find(key);
-    if (it != cells_.end()) {
-      std::lock_guard cell_lock(stripe_for(key));
-      const Cell& c = it->second;
-      if (c.dirty_owner) return c.dirty;
-    } else {
-      return Status::NotFound("key " + std::to_string(key));
-    }
-  }
-  return read_committed(key);
+Result<OwnedRead> Store::owned_view_locked(const Cell& cell, TxnId txn,
+                                           Key key) {
+  if (cell.dirty_owner == txn) return OwnedRead{cell.dirty, kOwnWrite};
+  const Result<VersionRead> v = latest_of(cell, key);
+  if (!v.ok()) return v.status();
+  return OwnedRead{v.value().value, v.value().seq + 1};
 }
 
-std::optional<TxnId> Store::dirty_writer(Key key) const {
+Result<VersionRead> Store::read_latest_versioned(Key key) const {
   std::shared_lock map_lock(map_mu_);
   auto it = cells_.find(key);
-  if (it == cells_.end()) return std::nullopt;
-  std::lock_guard cell_lock(stripe_for(key));
-  return it->second.dirty_owner;
+  if (it == cells_.end()) return Status::NotFound("key " + std::to_string(key));
+  return latest_of(it->second, key);
 }
 
-Value Store::pending_delta(Key key) const {
-  Value dirty = 0;
-  {
-    std::shared_lock map_lock(map_mu_);
-    auto it = cells_.find(key);
-    if (it == cells_.end()) return 0;
-    std::lock_guard cell_lock(stripe_for(key));
-    const Cell& c = it->second;
-    if (!c.dirty_owner) return 0;
-    dirty = c.dirty;
+Result<VersionRead> Store::read_snapshot(Key key,
+                                         std::uint64_t snapshot) const {
+  std::shared_lock map_lock(map_mu_);
+  auto it = cells_.find(key);
+  if (it == cells_.end()) return Status::NotFound("key " + std::to_string(key));
+  return snapshot_of(it->second, key, snapshot);
+}
+
+Result<SnapshotAndLatest> Store::read_snapshot_and_latest(
+    Key key, std::uint64_t snapshot) const {
+  std::shared_lock map_lock(map_mu_);
+  auto it = cells_.find(key);
+  if (it == cells_.end()) return Status::NotFound("key " + std::to_string(key));
+  const Result<VersionRead> snap = snapshot_of(it->second, key, snapshot);
+  if (!snap.ok()) return snap.status();
+  // The cell held a version at the snapshot, so it holds a newest one too;
+  // versions only climb, so latest.seq >= snap.seq.
+  return SnapshotAndLatest{snap.value(),
+                           latest_of(it->second, key).value_or(snap.value())};
+}
+
+Result<OwnedRead> Store::read_for_update(TxnId txn, Key key) const {
+  std::shared_lock map_lock(map_mu_);
+  auto it = cells_.find(key);
+  if (it == cells_.end()) return Status::NotFound("key " + std::to_string(key));
+  std::lock_guard cell_lock(stripe_for(key));
+  return owned_view_locked(it->second, txn, key);
+}
+
+Result<OwnedRead> Store::stage_add(TxnId txn, Key key, Value delta) {
+  std::shared_lock map_lock(map_mu_);
+  auto it = cells_.find(key);
+  if (it == cells_.end()) return Status::NotFound("key " + std::to_string(key));
+  std::lock_guard cell_lock(stripe_for(key));
+  Cell& c = it->second;
+  if (c.dirty_owner && *c.dirty_owner != txn) {
+    return Status::FailedPrecondition("dirty slot owned by txn " +
+                                      std::to_string(*c.dirty_owner));
   }
-  return distance(dirty, read_committed(key).value_or(0));
+  const Result<OwnedRead> base = owned_view_locked(c, txn, key);
+  if (!base.ok()) return base;
+  c.dirty_owner = txn;
+  c.dirty = base.value().value + delta;
+  return base;
 }
 
 Status Store::write(TxnId txn, Key key, Value value) {

@@ -10,6 +10,12 @@
 // newest version at or below it with a seqlock-validated scan, and never
 // touches the lock manager at all.
 //
+// Every operation makes one shared lookup in the key map and takes at most
+// one dirty-slot stripe: an update's read-modify-write (stage_add), its
+// locked read (read_for_update) and a divergence-control query's paired
+// snapshot/newest read (read_snapshot_and_latest) each resolve the cell
+// once and do all their work on it.
+//
 // Commit publication and snapshot lifetime are serialized by one commit
 // mutex (rank kStoreCommit): commit_publish allocates the next commit
 // sequence, moves every staged dirty value into its key's ring, and prunes
@@ -50,6 +56,21 @@ struct VersionRead {
   std::uint64_t seq = 0;
 };
 
+/// What an update ET observes on a key it holds locked, with the version
+/// stamp its trace Read carries: the committed version's seq + 1, or
+/// Store::kOwnWrite when the value is the transaction's own staged write.
+struct OwnedRead {
+  Value value = 0;
+  std::uint64_t trace_version = 0;
+};
+
+/// A divergence-control read's two versions of one key: the newest at the
+/// query's snapshot and the newest overall (latest.seq >= snap.seq).
+struct SnapshotAndLatest {
+  VersionRead snap;
+  VersionRead latest;
+};
+
 /// Lifetime counters for the obs layer (mvcc.* instruments).  Monotonic;
 /// read lock-free.
 struct MvccStats {
@@ -67,6 +88,10 @@ class Store {
   struct NoHook {
     void operator()(std::uint64_t) const noexcept {}
   };
+
+  /// OwnedRead::trace_version of a read that saw the reader's own staged
+  /// write rather than a committed version.
+  static constexpr std::uint64_t kOwnWrite = ~std::uint64_t{0};
 
   /// Versions retained per key.  Deep enough that epoch GC (not ring
   /// overflow) is the common reclaim path under realistic query lifetimes.
@@ -97,16 +122,25 @@ class Store {
   [[nodiscard]] Result<VersionRead> read_snapshot(Key key,
                                                   std::uint64_t snapshot) const;
 
-  /// Dirty value if a writer is in flight, else the committed value.  Used
-  /// by 2PL reads under X/S coexistence (an update re-reading its own staged
-  /// write) -- divergence-control queries use read_snapshot instead.
-  [[nodiscard]] Result<Value> read_latest(Key key) const;
+  /// One lookup serving both reads a divergence-control query needs: the
+  /// newest version at `snapshot` (errors exactly as read_snapshot) and the
+  /// newest committed version, read after it.
+  [[nodiscard]] Result<SnapshotAndLatest> read_snapshot_and_latest(
+      Key key, std::uint64_t snapshot) const;
 
-  /// The in-flight writer of `key`, if any.
-  [[nodiscard]] std::optional<TxnId> dirty_writer(Key key) const;
+  /// The owner's view of a key `txn` holds locked: its own staged value
+  /// (kOwnWrite) if it has one, else the newest committed version.  Another
+  /// transaction's dirty value is never returned.  kNotFound when the key
+  /// holds neither.
+  [[nodiscard]] Result<OwnedRead> read_for_update(TxnId txn, Key key) const;
 
-  /// Pending uncommitted delta on `key` (|dirty - committed|), 0 if clean.
-  [[nodiscard]] Value pending_delta(Key key) const;
+  /// Read-modify-write for an update holding X on `key`: reads the owner's
+  /// view (as read_for_update) and stages view + `delta` as txn's dirty
+  /// value under the same stripe lock; returns the view it added to.  Fails,
+  /// leaving the cell untouched, with FailedPrecondition if another
+  /// transaction's dirty value is present and with kNotFound if the key has
+  /// no value to add to.  Never creates a cell.
+  [[nodiscard]] Result<OwnedRead> stage_add(TxnId txn, Key key, Value delta);
 
   /// Stage an uncommitted write.  Fails with FailedPrecondition if another
   /// transaction's dirty value is present (X-locking above this layer should
@@ -223,6 +257,18 @@ class Store {
   /// visible to every registered snapshot (commit_mu_ held).
   void gc_cell_locked(Cell& cell);
   [[nodiscard]] std::uint64_t min_live_snapshot_locked() const;
+
+  /// Newest committed version of `cell`, lock-free; kNotFound when the cell
+  /// holds none.  Caller holds map_mu_ (shared).
+  [[nodiscard]] static Result<VersionRead> latest_of(const Cell& cell, Key key);
+  /// Newest version of `cell` at `snapshot` (see read_snapshot).  Caller
+  /// holds map_mu_ (shared).
+  [[nodiscard]] Result<VersionRead> snapshot_of(const Cell& cell, Key key,
+                                                std::uint64_t snapshot) const;
+  /// The owner's view of `cell` (see read_for_update).  Caller holds map_mu_
+  /// (shared) and the cell's stripe.
+  [[nodiscard]] static Result<OwnedRead> owned_view_locked(const Cell& cell,
+                                                           TxnId txn, Key key);
 
   /// Seqlock-validated read of one slot; nullopt when torn/empty/writing.
   [[nodiscard]] static std::optional<VersionRead> try_read_slot(

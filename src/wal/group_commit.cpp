@@ -17,7 +17,9 @@ void GroupCommitter::lead_flush_locked(
     std::uint64_t seed) {
   leader_active_ = true;
   bump(stats_.flushes);
-  async_backlog_ = 0;  // the flush covers every async record appended so far
+  // The flush covers every async record appended so far.  relaxed-ok: the
+  // backlog only triggers flushes; durability is read from the wal frontier.
+  async_backlog_.store(0, std::memory_order_relaxed);
   lock.unlock();
   // The device sync runs outside mu_ so the next group accumulates behind
   // it.  A failed (injected) fsync made nothing durable: retry until true,
@@ -59,12 +61,21 @@ void GroupCommitter::note_async(std::uint64_t lsn, std::uint64_t seed) {
     bump(stats_.batched);
     return;  // already covered by an earlier group
   }
+  // The backlog is counted lock-free; only the commit that fills it takes
+  // mu_, re-checks (a flush may have emptied it meanwhile) and leads.
+  // relaxed-ok(begin): the count only decides when to flush; what is durable
+  // is read from the wal frontier.
+  if (async_backlog_.fetch_add(1, std::memory_order_relaxed) + 1 <
+      kAsyncFlushBacklog) {
+    return;
+  }
   std::unique_lock lock(mu_);
-  ++async_backlog_;
-  if (async_backlog_ >= kAsyncFlushBacklog && !leader_active_) {
+  if (async_backlog_.load(std::memory_order_relaxed) >= kAsyncFlushBacklog &&
+      !leader_active_) {
     bump(stats_.async_self_flushes);
     lead_flush_locked(lock, seed);
   }
+  // relaxed-ok(end)
 }
 
 void GroupCommitter::flush(std::uint64_t seed) {

@@ -15,6 +15,8 @@
 //   * async -- note_async(lsn): the transaction reports success at append;
 //     durability arrives at the next group flush (piggybacking on a sync
 //     leader, or a self-flush once the async backlog crosses a threshold).
+//     The backlog is an atomic count, so an async commit takes the
+//     committer mutex only when it fills the backlog and leads that flush.
 //     A crash in the window loses exactly the not-yet-durable async
 //     commits -- the documented contract, exercised by the torn-tail tests.
 //
@@ -62,9 +64,10 @@ class GroupCommitter {
   /// `seed` salts the leader's fsync-failure retry backoff.
   void wait_durable(std::uint64_t lsn, std::uint64_t seed);
 
-  /// Record an async commit at `lsn`.  Returns immediately; flushes the
-  /// backlog itself (blocking this caller) only when kAsyncFlushBacklog is
-  /// reached with no flush in flight.
+  /// Record an async commit at `lsn`.  Returns immediately, without the
+  /// committer mutex, unless this commit brings the backlog to
+  /// kAsyncFlushBacklog; then, with no flush in flight, it flushes the
+  /// backlog itself (blocking this caller).
   void note_async(std::uint64_t lsn, std::uint64_t seed);
 
   /// Force everything appended so far durable (shutdown / test barrier).
@@ -82,7 +85,10 @@ class GroupCommitter {
   mutable OrderedMutex<LockRank::kWalGroup> mu_;  ///< rank kWalGroup: leader election + waiters; reads the wal frontier (kWal) under it
   OrderedCondVar cv_;
   bool leader_active_ = false;     // under mu_
-  std::uint64_t async_backlog_ = 0;  // under mu_: async commits since flush
+  /// Async commits since the last flush began.  Atomic so note_async counts
+  /// without mu_; only the commit that brings it to kAsyncFlushBacklog takes
+  /// mu_ to lead the self-flush.
+  std::atomic<std::uint64_t> async_backlog_{0};
 
   /// GroupCommitStats cells.  Each event bumps exactly one cell once, some
   /// on the lock-free fast path, so they are atomics; stats() reads them

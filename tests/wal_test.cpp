@@ -546,6 +546,55 @@ TEST(GroupCommit, AsyncBacklogForcesASelfFlush) {
   EXPECT_GE(log.durable_lsn(), 1u);
 }
 
+TEST(GroupCommit, RacingAsyncCommittersSelfFlushAndLoseOnlyTheUndurableTail) {
+  // The async backlog is counted without the committer mutex, so racing
+  // committers may cross kAsyncFlushBacklog together; one of them leads
+  // each self-flush.  After a crash at the durable frontier, recovery must
+  // hold exactly each thread's commits whose record that frontier covers.
+  // Run under TSan via the tsan ctest label.
+  LogDevice log;
+  Database db(wal_options(&log));
+  constexpr int kThreads = 4;
+  constexpr int kCommitsPerThread = 200;
+  for (int k = 0; k < kThreads; ++k) db.load(k, 0);
+  std::vector<std::vector<std::uint64_t>> lsns(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      TxnOptions topts;
+      topts.wait = CommitWait::kAsync;
+      for (int i = 0; i < kCommitsPerThread; ++i) {
+        Txn txn = db.begin(TxnKind::Update, EpsilonSpec::serializable(),
+                           kInvalidTxn, topts);
+        ASSERT_TRUE(txn.add(t, 1).ok());
+        ASSERT_TRUE(txn.commit().ok());
+        lsns[t].push_back(txn.commit_lsn());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const GroupCommitStats gs = db.group_committer()->stats();
+  EXPECT_EQ(gs.async_commits, std::uint64_t{kThreads} * kCommitsPerThread);
+  EXPECT_EQ(gs.sync_commits, 0u);
+  EXPECT_GE(gs.async_self_flushes, 1u);
+  const std::uint64_t durable = log.durable_lsn();
+  log.tear_to_durable();
+  (void)db.recover_from_wal();
+  for (int t = 0; t < kThreads; ++t) {
+    Value covered = 0;
+    for (const std::uint64_t lsn : lsns[t]) covered += lsn <= durable ? 1 : 0;
+    // Each commit's after-image is the key's running count, and loads are
+    // not logged: a key with no durable commit is gone after recovery.
+    const Result<Value> v = db.store().read_committed(Key(t));
+    if (covered == 0) {
+      EXPECT_FALSE(v.ok());
+    } else {
+      EXPECT_EQ(v.value_or(-1), covered);
+    }
+  }
+}
+
 // --- log-backed recoverable queues ----------------------------------------
 
 TEST(QueueWal, CommittedEnqueueSurvivesTotalLoss) {

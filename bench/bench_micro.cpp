@@ -2,7 +2,8 @@
 // costs underlie the system-level numbers -- lock acquisition and release,
 // the store's update read-modify-write and publication, the ET registry
 // round trip, a WAL-backed sync commit, a chopped transfer
-// over the WAL, chopping-graph analysis, and the finest-chopping searches.
+// over the WAL, trace recording and online-certifier ingest, chopping-graph
+// analysis, and the finest-chopping searches.
 //
 // The obs group doubles as the instrumentation-overhead experiment: build
 // once with -DATP_OBS=ON and once with OFF and compare
@@ -11,14 +12,22 @@
 // budget is <2% on the enabled build).
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
+
+#include "audit/online_certifier.h"
 #include "chop/analyzer.h"
 #include "common/rng.h"
+#include "engine/executor.h"
 #include "engine/piece_runner.h"
 #include "engine/plan.h"
 #include "lock/lock_manager.h"
 #include "obs/metrics_registry.h"
 #include "sched/database.h"
 #include "storage/store.h"
+#include "trace/tracer.h"
 #include "txn/registry.h"
 #include "wal/log.h"
 #include "workload/banking.h"
@@ -177,6 +186,107 @@ void BM_ChoppedTransferWithWal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChoppedTransferWithWal)->Threads(1)->Threads(4);
+
+void BM_TracerRecord(benchmark::State& state) {
+  // One Tracer::record on a warm ring, as every instrumented call site pays
+  // it: the in-flight flag, the global seq ticket (contended from 3
+  // threads), the clock read and the slot write.  draining=1 adds a
+  // subscriber that drains every 2 ms on a thread of its own, the online
+  // certifier's default poll_interval, so its copies race the recorders.
+  static std::unique_ptr<Tracer> tracer;
+  static std::atomic<bool> stop{false};
+  static std::thread drainer;
+  if (state.thread_index() == 0) {
+    tracer = std::make_unique<Tracer>(std::size_t(1) << 16);
+    if (state.range(0) != 0) {
+      stop.store(false);
+      drainer = std::thread([] {
+        auto sub = tracer->subscribe();
+        TraceSubscription::Batch batch;
+        while (!stop.load()) {
+          sub->drain(batch);
+          benchmark::DoNotOptimize(batch.events.data());
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+      });
+    }
+  }
+  const TxnId txn = TxnId(state.thread_index()) + 1;
+  Key key = 0;
+  for (auto _ : state) {
+    tracer->record(TraceKind::Read, 0, txn, ++key, 1.0, 0, 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    if (drainer.joinable()) {
+      stop.store(true);
+      drainer.join();
+    }
+    tracer.reset();
+  }
+}
+BENCHMARK(BM_TracerRecord)
+    ->ArgName("draining")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(3)
+    ->UseRealTime();
+
+/// A banking run recorded once: the Table-1 mix on 48 hot accounts run by
+/// 3 workers, as perfbench's engine_hot_certify runs it (DC, Method 3) when
+/// `cc` is false, or under strict 2PL (baseline SR) when it is true.
+Tracer& recorded_banking_trace(bool cc) {
+  static std::unique_ptr<Tracer> traces[2];
+  std::unique_ptr<Tracer>& tracer = traces[cc ? 1 : 0];
+  if (tracer) return *tracer;
+  tracer = std::make_unique<Tracer>(std::size_t(1) << 18);
+  BankingConfig cfg;
+  cfg.accounts_per_branch = 24;
+  cfg.max_transfer = 50;
+  cfg.update_epsilon = 1200;
+  cfg.query_epsilon = 2500;
+  cfg.branch_audit_fraction = 0.15;
+  cfg.global_audit_fraction = 0.08;
+  cfg.audit_scan = 12;
+  cfg.zipf_theta = 0.6;
+  const Workload w = make_banking(cfg, 3000, 11);
+  const MethodConfig method =
+      cc ? MethodConfig::baseline_sr() : MethodConfig::method3();
+  DatabaseOptions dbo = Executor::database_options(method);
+  dbo.tracer = tracer.get();
+  Database db(dbo);
+  w.load_into(db);
+  ExecutorOptions eopts;
+  eopts.workers = 3;
+  (void)Executor::run(db, ExecutionPlan::build(w.types, method).value(),
+                      w.instances, eopts);
+  return *tracer;
+}
+
+void BM_OnlineCertifierIngest(benchmark::State& state) {
+  // Certifier cost per trace event: each iteration subscribes a fresh
+  // OnlineCertifier to a pre-recorded banking trace and pumps it once --
+  // drain, seq merge, ledger replay (and the serialization graph with
+  // sr=1), retirement.  per_event (seconds) is the figure to compare with
+  // BM_TracerRecord's per-event cost.
+  const bool sr = state.range(0) != 0;
+  Tracer& trace = recorded_banking_trace(sr);
+  const double events = double(trace.size());
+  OnlineCertifierOptions opts;
+  opts.check_sr = sr;
+  for (auto _ : state) {
+    OnlineCertifier cert(trace, opts);
+    cert.pump();
+    benchmark::DoNotOptimize(cert.stats().events_processed);
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(events));
+  state.counters["events"] = events;
+  state.counters["per_event"] = benchmark::Counter(
+      events, benchmark::Counter::kIsIterationInvariantRate |
+                  benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_OnlineCertifierIngest)->ArgName("sr")->Arg(0)->Arg(1);
 
 void BM_TxnCommitCycle(benchmark::State& state) {
   Database db(DatabaseOptions{});

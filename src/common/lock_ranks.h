@@ -29,9 +29,11 @@
 //   queue endpoint -> wal append / net send                      (100<210/240)
 //   lock stripe    -> waits-for graph                            (140<150)
 //   lock stripe    -> store commit / store / registry / tracer   (140<165+)
+//                     (the tracer lock is its ring registry, taken only by
+//                     a thread's first record; recording is otherwise
+//                     lock-free)
 //   txn shard      -> txn charge ("shard then charge")           (190<200)
 //   net inbox      -> net state ("inbox then state")             (240<250)
-//   trace registry -> trace ring (record and collect paths)      (270<280)
 #pragma once
 
 #include <cstdint>
@@ -66,7 +68,7 @@ enum class LockRank : std::uint16_t {
   /// db layer because nothing db-side is taken under it, and above
   /// kObsRegistry because the metrics collector reads certifier stats while
   /// holding the registry lock; the pump thread holds it while draining the
-  /// trace subscription (kTraceRegistry/kTraceRing, far higher).
+  /// trace subscription (kTraceRegistry, far higher).
   kOnlineCert = 75,
   /// Site::mu_ — per-site executor state; held while stashed subtransactions
   /// commit or abort (taking db locks).
@@ -83,8 +85,8 @@ enum class LockRank : std::uint16_t {
   /// DistExecutor pending_mu (dist/dist_executor.cpp) — coordinator inbox.
   kDistPending = 130,
   /// LockManager Stripe::mu — the 16 lock-table stripes; the heart of the
-  /// db layer.  Holds kWaitsFor, kStoreMap, kTxnStruct, kTraceRing chains
-  /// while granting/denying.
+  /// db layer.  Holds kWaitsFor, kStoreMap, kTxnStruct, kTraceRegistry
+  /// chains while granting/denying.
   kLockStripe = 140,
   /// LockManager::wait_mu_ — global waits-for graph ("stripe then wait,
   /// never the reverse").
@@ -120,12 +122,11 @@ enum class LockRank : std::uint16_t {
   kNetState = 250,
   /// FaultInjector::mu_ — fault schedule table (leaf under net/wal paths).
   kFault = 260,
-  /// Tracer::registry_mu_ — per-thread ring registry; collect() drains the
-  /// rings (rank kTraceRing) under it.
+  /// Tracer::registry_mu_ — per-thread ring registry.  A thread's first
+  /// record() registers its ring under it (below any db lock the caller
+  /// holds); readers take it only to list the rings.  The rings themselves
+  /// are lock-free.
   kTraceRegistry = 270,
-  /// Tracer Ring::mu — per-thread event ring (leaf; emit runs under stripe
-  /// and inbox locks).
-  kTraceRing = 280,
   /// Histogram::mu_ — sample reservoirs; recorded/summarized at the very
   /// bottom of any chain (e.g. stripe stats under a stripe lock).
   kHistogram = 290,
@@ -163,7 +164,6 @@ enum class LockRank : std::uint16_t {
     case LockRank::kNetState: return "kNetState";
     case LockRank::kFault: return "kFault";
     case LockRank::kTraceRegistry: return "kTraceRegistry";
-    case LockRank::kTraceRing: return "kTraceRing";
     case LockRank::kHistogram: return "kHistogram";
   }
   return "kUnknownRank";

@@ -1,6 +1,8 @@
 #include "trace/tracer.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 
 #include "obs/metrics_registry.h"
 
@@ -39,8 +41,78 @@ const char* to_string(TraceKind kind) noexcept {
   return "?";
 }
 
+// One recording thread's ring.  Single producer: only the owning thread
+// writes the slots, `busy`, `written`, `published_seq` and `base`; clear()
+// writes `cleared_below`; readers write nothing.  Event i (in `written`
+// units) lives in slot (i - base) % capacity, so indexing restarts at slot 0
+// when the producer adopts a clear().
+struct alignas(64) TraceRing {
+  explicit TraceRing(std::size_t words_total)
+      : words(std::make_unique_for_overwrite<std::uint64_t[]>(words_total)) {}
+
+  std::atomic<bool> busy{false};  ///< producer is inside record()
+  std::atomic<std::uint64_t> written{0};        ///< events ever written
+  std::atomic<std::uint64_t> published_seq{0};  ///< seq of event written-1
+  std::atomic<std::uint64_t> base{0};           ///< slot origin
+  std::atomic<std::uint64_t> cleared_below{0};  ///< clear(): below is gone
+  /// Slot payloads, read and written only through atomic_ref, so a drain
+  /// racing its producer is a detected lap rather than a data race.
+  /// Default-initialised: a page is touched when its first slot is written.
+  std::unique_ptr<std::uint64_t[]> words;
+};
+
 namespace {
+
 std::atomic<std::uint64_t> next_tracer_id{1};
+
+// A slot is kSlotWords words: the event minus its tid (assigned when a
+// reader merges the rings), with site and kind packed into one word.
+constexpr std::size_t kSlotWords = 9;
+
+// Every slot word is a release store and an acquire load, as in the store's
+// VersionSlot: a reader whose load sees any word of a record therefore also
+// sees what its producer wrote before the slot -- the raised `busy` flag,
+// the write count, an adopted `base` -- when it re-reads them after the
+// copy.  Both are plain moves on x86, and unlike fences ThreadSanitizer
+// models them.
+void store_slot(std::uint64_t* slot, const TraceEvent& ev) {
+  const std::uint64_t w[kSlotWords] = {
+      ev.seq,
+      std::bit_cast<std::uint64_t>(ev.ts_us),
+      std::uint64_t(ev.site) | (std::uint64_t(ev.kind) << 32),
+      ev.txn,
+      ev.key,
+      std::bit_cast<std::uint64_t>(ev.a),
+      std::bit_cast<std::uint64_t>(ev.b),
+      ev.aux,
+      ev.aux2};
+  for (std::size_t i = 0; i < kSlotWords; ++i) {
+    std::atomic_ref<std::uint64_t>(slot[i]).store(w[i],
+                                                  std::memory_order_release);
+  }
+}
+
+TraceEvent load_slot(std::uint64_t* slot, std::uint32_t tid) {
+  auto word = [slot](std::size_t i) {
+    return std::atomic_ref<std::uint64_t>(slot[i]).load(
+        std::memory_order_acquire);
+  };
+  TraceEvent ev;
+  ev.seq = word(0);
+  ev.ts_us = std::bit_cast<std::int64_t>(word(1));
+  const std::uint64_t site_kind = word(2);
+  ev.site = static_cast<SiteId>(site_kind);
+  ev.kind = static_cast<TraceKind>(site_kind >> 32);
+  ev.txn = word(3);
+  ev.key = word(4);
+  ev.a = std::bit_cast<double>(word(5));
+  ev.b = std::bit_cast<double>(word(6));
+  ev.aux = word(7);
+  ev.aux2 = word(8);
+  ev.tid = tid;
+  return ev;
+}
+
 }  // namespace
 
 Tracer::Tracer(std::size_t per_thread_capacity)
@@ -63,7 +135,7 @@ void Tracer::attach_metrics(obs::MetricsRegistry* registry) {
   });
 }
 
-Tracer::Ring* Tracer::ring_for_current_thread() {
+TraceRing* Tracer::ring_for_current_thread() {
   // One-entry cache keyed by the tracer's never-reused id -- NOT its address:
   // a dead tracer's storage can be reused by a new one, and an address match
   // would then hand back a ring freed with the old tracer.  A thread
@@ -71,13 +143,14 @@ Tracer::Ring* Tracer::ring_for_current_thread() {
   // ring stays in rings_, so its events still reach collect()).
   struct Cache {
     std::uint64_t tracer_id = 0;
-    Ring* ring = nullptr;
+    TraceRing* ring = nullptr;
   };
   static thread_local Cache cache;
   if (cache.tracer_id == id_) return cache.ring;
 
+  auto ring = std::make_unique<TraceRing>(capacity_ * kSlotWords);
   std::lock_guard lock(registry_mu_);
-  rings_.push_back(std::make_unique<Ring>());
+  rings_.push_back(std::move(ring));
   cache.tracer_id = id_;
   cache.ring = rings_.back().get();
   return cache.ring;
@@ -86,9 +159,7 @@ Tracer::Ring* Tracer::ring_for_current_thread() {
 void Tracer::record(TraceKind kind, SiteId site, TxnId txn, Key key, double a,
                     double b, std::uint64_t aux, std::uint64_t aux2) {
   TraceEvent ev;
-  ev.ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                 std::chrono::steady_clock::now() - epoch_)
-                 .count();
+  ev.ts_us = now_us();
   ev.site = site;
   ev.kind = kind;
   ev.txn = txn;
@@ -98,35 +169,92 @@ void Tracer::record(TraceKind kind, SiteId site, TxnId txn, Key key, double a,
   ev.aux = aux;
   ev.aux2 = aux2;
 
-  Ring* ring = ring_for_current_thread();
-  std::lock_guard lock(ring->mu);
-  // The seq ticket is taken INSIDE the ring critical section: a drain pass
-  // that reads next_seq_ and then locks this ring is guaranteed every event
-  // numbered below that reading is already published in some ring -- the
-  // stable-horizon contract of TraceSubscription::drain().
-  ev.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);  // relaxed-ok: ring mutex publishes the slot; consumers order by seq
-  if (ring->slots.size() < capacity_) {
-    ring->slots.push_back(ev);
-  } else {
-    // (written - base) counts events since the last clear(), so this cycles
-    // through the slots oldest-first regardless of clears.
-    ring->slots[(ring->written - ring->base) % capacity_] = ev;
+  TraceRing& ring = *ring_for_current_thread();
+  // The flag goes up before the ticket is taken and comes down only after
+  // the event is published: the stable-horizon argument of
+  // TraceSubscription rests on this bracket.  The raise needs no fence of
+  // its own: the ticket's fetch_add is a release, and a drain's acquire
+  // load that sees this ticket (or any later one: fetch_adds continue the
+  // release sequence) therefore also sees the raised flag.
+  ring.busy.store(true, std::memory_order_relaxed);  // relaxed-ok: published by the release fetch_add below
+  ev.seq = next_seq_.fetch_add(1, std::memory_order_release);
+  // relaxed-ok(begin): written and base have no other writer than this
+  // thread; cleared_below is re-checked every record, so a stale read only
+  // postpones adopting a clear() by one event.
+  const std::uint64_t w = ring.written.load(std::memory_order_relaxed);
+  std::uint64_t base = ring.base.load(std::memory_order_relaxed);
+  if (ring.cleared_below.load(std::memory_order_relaxed) > base) {
+    base = w;  // adopt the clear(): this event goes to slot 0
+    ring.base.store(base, std::memory_order_relaxed);
   }
-  ++ring->written;
+  // relaxed-ok(end)
+  // A reader that sees any word of this slot also sees the flag, the count
+  // and the base above (store_slot), so it counts the slot as lapped.
+  store_slot(&ring.words[((w - base) % capacity_) * kSlotWords], ev);
+  ring.written.store(w + 1, std::memory_order_release);
+  ring.published_seq.store(ev.seq, std::memory_order_release);
+  ring.busy.store(false, std::memory_order_release);
+}
+
+std::vector<const TraceRing*> Tracer::list_rings() const {
+  std::vector<const TraceRing*> out;
+  std::lock_guard lock(registry_mu_);
+  for (const auto& ring : rings_) out.push_back(ring.get());
+  return out;
+}
+
+std::uint64_t Tracer::oldest_retained(const TraceRing& ring) const {
+  const std::uint64_t written = ring.written.load(std::memory_order_acquire);
+  return std::max({ring.base.load(std::memory_order_acquire),
+                   ring.cleared_below.load(std::memory_order_acquire),
+                   written > capacity_ ? written - capacity_ : 0});
+}
+
+std::uint64_t Tracer::copy_ring(const TraceRing& ring, std::uint64_t from,
+                                std::uint32_t tid,
+                                std::vector<TraceEvent>& out,
+                                std::uint64_t& lost) const {
+  // written before base: a base adopted after this read is >= written, so
+  // the copy range below comes out empty rather than mis-indexed.
+  const std::uint64_t written = ring.written.load(std::memory_order_acquire);
+  const std::uint64_t base = ring.base.load(std::memory_order_acquire);
+  const std::uint64_t lo = std::max(
+      {from, base, ring.cleared_below.load(std::memory_order_acquire),
+       written > capacity_ ? written - capacity_ : 0});
+  const std::size_t first = out.size();
+  std::size_t slot = (lo - base) % capacity_;
+  for (std::uint64_t i = lo; i < written; ++i) {
+    out.push_back(load_slot(&ring.words[slot * kSlotWords], tid));
+    if (++slot == capacity_) slot = 0;
+  }
+  // Which copied slots may the producer have rewritten meanwhile?  Having
+  // read any word of its record for index `written2` (which rewrites index
+  // written2 - capacity), this thread now sees `busy` up or the count past
+  // written2 (see store_slot); busy is read first so that a lowered flag
+  // brings its count with it.  A base adopted meanwhile remaps every slot.
+  const std::uint64_t busy = ring.busy.load(std::memory_order_acquire) ? 1 : 0;
+  const std::uint64_t written2 = ring.written.load(std::memory_order_acquire);
+  const std::uint64_t end = std::max(lo, written);
+  std::uint64_t valid = lo;
+  if (ring.base.load(std::memory_order_acquire) != base) {
+    valid = end;
+  } else if (written2 + busy > capacity_) {
+    valid = std::clamp(written2 + busy - capacity_, lo, end);
+  }
+  if (valid > lo) {
+    out.erase(out.begin() + std::ptrdiff_t(first),
+              out.begin() + std::ptrdiff_t(first + (valid - lo)));
+  }
+  lost += valid - from;
+  return end;
 }
 
 std::vector<TraceEvent> Tracer::collect() const {
+  const std::vector<const TraceRing*> rings = list_rings();
   std::vector<TraceEvent> all;
-  {
-    std::lock_guard registry_lock(registry_mu_);
-    for (std::size_t i = 0; i < rings_.size(); ++i) {
-      const Ring& ring = *rings_[i];
-      std::lock_guard lock(ring.mu);
-      for (TraceEvent ev : ring.slots) {
-        ev.tid = static_cast<std::uint32_t>(i);
-        all.push_back(ev);
-      }
-    }
+  std::uint64_t lost = 0;
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    (void)copy_ring(*rings[i], 0, static_cast<std::uint32_t>(i), all, lost);
   }
   std::sort(all.begin(), all.end(),
             [](const TraceEvent& x, const TraceEvent& y) {
@@ -136,22 +264,26 @@ std::vector<TraceEvent> Tracer::collect() const {
 }
 
 std::uint64_t Tracer::dropped() const {
-  std::lock_guard registry_lock(registry_mu_);
+  const std::vector<const TraceRing*> rings = list_rings();
   std::uint64_t lost = 0;
-  for (const auto& ring : rings_) {
-    std::lock_guard lock(ring->mu);
-    const std::uint64_t live = ring->written - ring->base;
+  for (const TraceRing* ring : rings) {
+    const std::uint64_t written = ring->written.load(std::memory_order_acquire);
+    const std::uint64_t origin =
+        std::max(ring->base.load(std::memory_order_acquire),
+                 ring->cleared_below.load(std::memory_order_acquire));
+    const std::uint64_t live = written > origin ? written - origin : 0;
     if (live > capacity_) lost += live - capacity_;
   }
   return lost;
 }
 
 std::size_t Tracer::size() const {
-  std::lock_guard registry_lock(registry_mu_);
+  const std::vector<const TraceRing*> rings = list_rings();
   std::size_t n = 0;
-  for (const auto& ring : rings_) {
-    std::lock_guard lock(ring->mu);
-    n += ring->slots.size();
+  for (const TraceRing* ring : rings) {
+    const std::uint64_t written = ring->written.load(std::memory_order_acquire);
+    const std::uint64_t oldest = oldest_retained(*ring);
+    if (written > oldest) n += std::size_t(written - oldest);
   }
   return n;
 }
@@ -159,9 +291,8 @@ std::size_t Tracer::size() const {
 void Tracer::clear() {
   std::lock_guard registry_lock(registry_mu_);
   for (const auto& ring : rings_) {
-    std::lock_guard lock(ring->mu);
-    ring->slots.clear();
-    ring->base = ring->written;
+    ring->cleared_below.store(ring->written.load(std::memory_order_acquire),
+                              std::memory_order_release);
   }
 }
 
@@ -170,50 +301,38 @@ TraceSubscription::TraceSubscription(const Tracer& tracer) : tracer_(tracer) {
   // whatever was overwritten or clear()ed before this subscription existed
   // is history, not a post-subscription loss, and must not count toward
   // `dropped` (it would permanently flip consumers' degraded flags).
-  std::lock_guard registry_lock(tracer_.registry_mu_);
-  consumed_.reserve(tracer_.rings_.size());
-  for (const auto& ring : tracer_.rings_) {
-    std::lock_guard lock(ring->mu);
-    consumed_.push_back(ring->written - ring->slots.size());
+  const std::vector<const TraceRing*> rings = tracer_.list_rings();
+  consumed_.reserve(rings.size());
+  for (const TraceRing* ring : rings) {
+    consumed_.push_back(tracer_.oldest_retained(*ring));
   }
 }
 
 void TraceSubscription::drain(Batch& batch) {
   batch.events.clear();
-  // The horizon is read BEFORE any ring lock: seq tickets are issued inside
-  // ring critical sections (see record()), so after the sweep below every
-  // event numbered under this reading has been copied out, consumed earlier,
-  // or charged to `dropped`.  Anything at or past it may still be mid-record.
-  batch.stable_before =
-      tracer_.next_seq_.load(std::memory_order_acquire);
-  {
-    std::lock_guard registry_lock(tracer_.registry_mu_);
-    if (consumed_.size() < tracer_.rings_.size()) {
-      consumed_.resize(tracer_.rings_.size(), 0);
+  // The ticket counter is read BEFORE any ring (see the class comment):
+  // after the sweep, every event numbered below it has been copied out,
+  // consumed earlier or charged to `dropped`, except in rings caught
+  // mid-record, which clamp the horizon to what they have published.
+  std::uint64_t horizon = tracer_.next_seq_.load(std::memory_order_acquire);
+  const std::vector<const TraceRing*> rings = tracer_.list_rings();
+  if (consumed_.size() < rings.size()) consumed_.resize(rings.size(), 0);
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    const TraceRing& ring = *rings[i];
+    if (ring.busy.load(std::memory_order_acquire)) {
+      horizon = std::min(
+          horizon, ring.published_seq.load(std::memory_order_acquire) + 1);
     }
-    for (std::size_t i = 0; i < tracer_.rings_.size(); ++i) {
-      const Tracer::Ring& ring = *tracer_.rings_[i];
-      std::lock_guard lock(ring.mu);
-      // Retained logical write indices are [written - slots.size(), written);
-      // anything below that was overwritten or clear()ed before we got here.
-      const std::uint64_t oldest = ring.written - ring.slots.size();
-      std::uint64_t& cursor = consumed_[i];
-      if (cursor < oldest) {
-        dropped_ += oldest - cursor;
-        cursor = oldest;
-      }
-      for (; cursor < ring.written; ++cursor) {
-        TraceEvent ev =
-            ring.slots[(cursor - ring.base) % tracer_.capacity_];
-        ev.tid = static_cast<std::uint32_t>(i);
-        batch.events.push_back(ev);
-      }
-    }
+    consumed_[i] = tracer_.copy_ring(ring, consumed_[i],
+                                     static_cast<std::uint32_t>(i),
+                                     batch.events, dropped_);
   }
   std::sort(batch.events.begin(), batch.events.end(),
             [](const TraceEvent& x, const TraceEvent& y) {
               return x.seq < y.seq;
             });
+  horizon_ = std::max(horizon_, horizon);
+  batch.stable_before = horizon_;
   batch.dropped = dropped_;
 }
 

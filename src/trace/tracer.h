@@ -1,11 +1,18 @@
 // Structured event tracing for the whole transaction lifecycle.
 //
-// The Tracer is a low-overhead, thread-safe recorder: each recording thread
-// writes into its own fixed-size ring buffer (one uncontended mutex per ring,
-// taken only by the owner thread and by collect()), and events carry a global
-// sequence number so collect() can merge the rings into one totally ordered
-// span stream.  When tracing is off every instrumented call site costs a
-// single null-pointer check.
+// The Tracer is a low-overhead, thread-safe recorder.  Each recording thread
+// owns a fixed-size ring that only it writes, so once a thread's ring is
+// registered (its first event), record() takes no lock: it sets the ring's
+// in-flight flag, takes a ticket from one global sequence, writes the slot
+// and publishes the ring's write count with a release store.
+// The sequence ticket is the only word recorders share; collect() merges the
+// rings into one stream totally ordered by it.  When tracing is off every
+// instrumented call site costs a single null-pointer check.
+//
+// The ticket is taken inside record(), and record() runs under whatever
+// locks its caller holds (lock stripes, store and queue locks), so sequence
+// order is conflict order: the SR certifier's soundness argument (DESIGN.md
+// section 5) rests on that, not on any tracer lock.
 //
 // The captured history is the input to the audit layer (src/audit/): the SR
 // certifier rebuilds the direct-serialization graph from Read/Write events,
@@ -14,15 +21,19 @@
 // JSON (chrome://tracing, Perfetto) and newline-delimited JSON.
 //
 // Rings overwrite their oldest events when full (the recorder never blocks
-// and never allocates after a ring fills); dropped() reports how many events
-// were lost so an auditor can refuse to certify an incomplete trace.
+// and never allocates after its ring exists); dropped() reports how many
+// events were lost so an auditor can refuse to certify an incomplete trace.
+// A ring's storage is reserved whole but touched only as slots are first
+// written, so a short or idle thread costs address space, not memory.
 //
 // Live consumption: subscribe() returns a TraceSubscription whose drain()
-// incrementally copies every ring's new events without disturbing them --
-// per-ring cursors, one short lock per ring per drain, recorders never wait
-// on the consumer.  Each drained batch carries a stable-seq horizon: every
-// event numbered below it has been delivered (in this batch or an earlier
-// one) or counted as dropped, so a consumer such as the online certifier
+// incrementally copies every ring's new events without disturbing them and
+// without ever making a recorder wait: a drain reads slots while their
+// producer may be lapping them, then re-reads the ring's counters and
+// discards (and counts as dropped) every slot that may have been rewritten
+// under it.  Each drained batch carries a stable-seq horizon: every event
+// numbered below it has been delivered (in this batch or an earlier one) or
+// counted as dropped, so a consumer such as the online certifier
 // (audit/online_certifier.h) can process a strictly seq-ordered prefix and
 // buffer the rest.  attach_metrics() additionally publishes ring health
 // (trace.dropped_events, trace.retained_events) into an obs registry.
@@ -110,16 +121,33 @@ struct TraceEvent {
 inline constexpr std::uint64_t kTraceModeExclusive = 1;
 
 class Tracer;
+struct TraceRing;  ///< one recording thread's ring (tracer.cpp)
 
 /// Incremental consumer of one Tracer's streams (Tracer::subscribe()).
 ///
 /// drain() copies everything recorded since the previous drain() and returns
-/// it with a *stable horizon*: seq numbers are handed out inside each ring's
-/// critical section, so once drain() has visited every ring, any event with
+/// it with a *stable horizon* `stable_before`: every event with
 /// `seq < stable_before` is either in this batch, was in an earlier batch, or
 /// has been counted in `dropped` (overwritten or clear()ed before the cursor
-/// reached it).  Events at or past the horizon may still be mid-record on
-/// some thread; a strict-order consumer buffers them for the next drain.
+/// reached it, or lapped by its producer while drain() copied it).
+///
+/// Why the horizon holds without a lock.  A recorder raises its ring's
+/// `busy` flag before it takes its ticket with a release fetch_add, and
+/// lowers it (release) only after the slot, the ring's write count and its
+/// `published_seq` are published.  drain() reads the global ticket counter
+/// H first (acquire), then each ring's `busy` flag, then its
+/// `published_seq` and write count.  An event whose ticket is below H was
+/// ticketed before H was read, and the acquire read of H makes the flag it
+/// raised visible: drain() either sees the flag still up, or sees it
+/// lowered by that event's own release (or a later one) and with it the
+/// event's slot and write count.  So for a ring seen idle, every
+/// ticket below H is already in the ring; for a ring seen busy, the horizon
+/// is clamped to its `published_seq + 1`, below which the ring is complete.
+/// The clamp can move the horizon below an earlier drain's, so the horizon
+/// is kept monotone: what an earlier drain settled stays settled.
+///
+/// Events at or past the horizon may still be mid-record on some thread; a
+/// strict-order consumer buffers them for the next drain.
 ///
 /// Not thread-safe (one draining thread per subscription); the subscription
 /// must not outlive its Tracer.
@@ -135,8 +163,8 @@ class TraceSubscription {
   /// Collect everything new into `batch`, replacing its contents.  The
   /// event vector is cleared, not freed, so a consumer that reuses one
   /// Batch across drains allocates only when a drain outgrows all earlier
-  /// ones.  One short lock per ring; never blocks a recorder for longer
-  /// than one slot copy.
+  /// ones.  Takes the ring registry lock only to list the rings; the copy
+  /// itself never blocks a recorder.
   void drain(Batch& batch);
 
  private:
@@ -149,6 +177,7 @@ class TraceSubscription {
   const Tracer& tracer_;
   std::vector<std::uint64_t> consumed_;  ///< per-ring cursor, `written` units
   std::uint64_t dropped_ = 0;
+  std::uint64_t horizon_ = 0;  ///< highest stable_before handed out so far
 };
 
 class Tracer {
@@ -159,8 +188,9 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Record one event.  Thread-safe; assigns seq/ts/tid.  Never blocks on
-  /// other recorders (each thread owns its ring).
+  /// Record one event.  Thread-safe and lock-free after the thread's first
+  /// event (which registers its ring); assigns seq/ts/tid.  Never waits for
+  /// another recorder or for a reader.
   void record(TraceKind kind, SiteId site, TxnId txn = kInvalidTxn,
               Key key = 0, double a = 0, double b = 0, std::uint64_t aux = 0,
               std::uint64_t aux2 = 0);
@@ -188,7 +218,9 @@ class Tracer {
 
   /// Drop all retained events and reset the drop counters.  The seq counter
   /// keeps climbing so pre-clear stragglers can never alias post-clear order.
-  /// Live subscriptions see cleared-but-undrained events as dropped.
+  /// Live subscriptions see cleared-but-undrained events as dropped.  Meant
+  /// for quiescent recorders; an event recorded concurrently with clear()
+  /// may survive it or be counted as dropped, but is never torn.
   void clear();
 
   /// New live consumer; starts at the oldest events still retained.  The
@@ -213,23 +245,35 @@ class Tracer {
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
  private:
-  struct Ring {
-    mutable OrderedMutex<LockRank::kTraceRing> mu;  ///< rank kTraceRing: leaf (emit runs under stripe/inbox locks)
-    std::vector<TraceEvent> slots;  ///< grows to capacity, then wraps
-    std::uint64_t written = 0;      ///< total events ever written
-    std::uint64_t base = 0;         ///< events discarded by clear()
-  };
-
   friend class TraceSubscription;
 
-  [[nodiscard]] Ring* ring_for_current_thread();
+  [[nodiscard]] TraceRing* ring_for_current_thread();
+
+  /// The rings registered so far (pointers stable for the tracer's life).
+  [[nodiscard]] std::vector<const TraceRing*> list_rings() const;
+
+  /// Oldest event index `ring` still retains.
+  [[nodiscard]] std::uint64_t oldest_retained(const TraceRing& ring) const;
+
+  /// Append `ring`'s events with index >= `from` to `out`, tagged `tid`.
+  /// Indices at or past `from` that are not appended (overwritten or
+  /// cleared before the copy, or lapped by the producer during it) are
+  /// added to `lost`.  Returns the index the next copy starts from.
+  std::uint64_t copy_ring(const TraceRing& ring, std::uint64_t from,
+                          std::uint32_t tid, std::vector<TraceEvent>& out,
+                          std::uint64_t& lost) const;
 
   const std::uint64_t id_;  ///< process-unique, never reused (cache key)
   const std::size_t capacity_;
   const std::chrono::steady_clock::time_point epoch_;
-  std::atomic<std::uint64_t> next_seq_{1};
-  mutable OrderedMutex<LockRank::kTraceRegistry> registry_mu_;  ///< rank kTraceRegistry: taken before each Ring::mu
-  std::vector<std::unique_ptr<Ring>> rings_;
+  /// The global seq ticket, alone on its cache line: every record() from
+  /// every thread writes it, and the read-only fields above are read by
+  /// every record() too.
+  alignas(64) std::atomic<std::uint64_t> next_seq_{1};
+  /// rank kTraceRegistry: guards rings_; taken by a thread's first record()
+  /// and by readers to list the rings.
+  alignas(64) mutable OrderedMutex<LockRank::kTraceRegistry> registry_mu_;
+  std::vector<std::unique_ptr<TraceRing>> rings_;
   obs::MetricsRegistry* metrics_ = nullptr;  ///< attach_metrics target
   std::uint64_t collector_id_ = 0;
 };

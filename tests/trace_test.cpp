@@ -1,9 +1,11 @@
 // Tracer + exporter tests: ring mechanics (ordering, overwrite accounting,
-// clear semantics), multi-threaded recording, database lifecycle
-// instrumentation, and the two export formats.
+// clear semantics), multi-threaded recording, the live subscription's
+// horizon and lap accounting, database lifecycle instrumentation, and the
+// two export formats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -213,6 +215,85 @@ TEST(TraceSubscription, ConcurrentDrainsDeliverEverySeqExactlyOnce) {
   for (auto& th : threads) th.join();
   std::sort(seqs.begin(), seqs.end());
   EXPECT_EQ(std::adjacent_find(seqs.begin(), seqs.end()), seqs.end());
+}
+
+TEST(TraceSubscription, LappedSlotsAreDroppedNeverTorn) {
+  // A recorder laps a 4-slot ring again and again while a subscriber
+  // drains it.  (The drain copies oldest-first, faster than the recorder
+  // writes, so only a ring this small makes copies and rewrites overlap
+  // in most drains.)  Drains copy slots the producer is rewriting; every copied
+  // slot it may have touched must be discarded and charged to `dropped`,
+  // so each seq is delivered whole or counted lost -- exactly one of the
+  // two.  One recorder, so seq s carries payload i = s - 1 in every field;
+  // a torn slot would mix two events' fields.
+  Tracer tracer(/*per_thread_capacity=*/4);
+  auto sub = tracer.subscribe();
+  constexpr std::uint64_t kEvents = 200000;
+  std::atomic<bool> done{false};
+  std::thread recorder([&] {
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      tracer.record(TraceKind::Write, 0, TxnId(i + 1), Key(i), double(i),
+                    -double(i), 3 * i + 1, ~i);
+    }
+    done.store(true);
+  });
+  std::vector<std::uint64_t> seqs;
+  std::uint64_t torn = 0;
+  TraceSubscription::Batch batch;
+  bool last = false;
+  while (!last) {
+    last = done.load();  // one more drain after the recorder finished
+    sub->drain(batch);
+    for (const auto& e : batch.events) {
+      const std::uint64_t i = e.seq - 1;
+      torn += e.txn != TxnId(i + 1) || e.key != Key(i) || e.a != double(i) ||
+              e.b != -double(i) || e.aux != 3 * i + 1 || e.aux2 != ~i ||
+              e.kind != TraceKind::Write;
+      seqs.push_back(e.seq);
+    }
+  }
+  recorder.join();
+  EXPECT_EQ(torn, 0u);
+  std::sort(seqs.begin(), seqs.end());
+  EXPECT_EQ(std::adjacent_find(seqs.begin(), seqs.end()), seqs.end());
+  // Delivered and dropped partition the history: nothing counted twice.
+  EXPECT_EQ(seqs.size() + batch.dropped, kEvents);
+  EXPECT_GT(batch.dropped, 0u);  // the ring really was lapped
+  EXPECT_EQ(batch.stable_before, kEvents + 1);
+}
+
+TEST(TraceSubscription, ClearRestartsIndexingAndChargesClearedEvents) {
+  Tracer tracer(/*per_thread_capacity=*/8);
+  auto sub = tracer.subscribe();
+  for (int i = 0; i < 5; ++i) tracer.record(TraceKind::Read, 0, 1, Key(i));
+  tracer.clear();
+  // After the clear the ring starts over at slot 0: three new events fit
+  // without loss, and only the five cleared ones are charged.
+  for (int i = 0; i < 3; ++i) tracer.record(TraceKind::Write, 0, 2, Key(100 + i));
+  TraceSubscription::Batch batch;
+  sub->drain(batch);
+  ASSERT_EQ(batch.events.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(batch.events[i].key, Key(100 + i));
+  }
+  EXPECT_EQ(batch.dropped, 5u);
+  EXPECT_EQ(tracer.size(), 3u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+
+  // Nine more wrap the ring relative to the clear: 12 since it, 8 kept,
+  // and the 4 overwritten before this drain reached them are charged.
+  for (int i = 3; i < 12; ++i) tracer.record(TraceKind::Write, 0, 2, Key(100 + i));
+  EXPECT_EQ(tracer.size(), 8u);
+  EXPECT_EQ(tracer.dropped(), 4u);
+  sub->drain(batch);
+  ASSERT_EQ(batch.events.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(batch.events[i].key, Key(104 + i));
+  }
+  EXPECT_EQ(batch.dropped, 5u + 1u);  // 103 was overwritten undelivered
+  const auto kept = tracer.collect();
+  ASSERT_EQ(kept.size(), 8u);
+  EXPECT_EQ(kept.front().key, Key(104));
 }
 
 TEST(Tracer, DatabaseLifecycleIsInstrumented) {

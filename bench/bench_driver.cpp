@@ -258,30 +258,29 @@ double mval(const obs::MetricsSnapshot& s, const std::string& name) {
 void append_metrics_json(std::string& out, const obs::MetricsSnapshot& m,
                          const char* indent) {
   char buf[512];
-  auto eps_cls = [&](const char* cls) {
-    const std::string live = std::string("eps.live.") + cls + ".";
-    const std::string ret = std::string("eps.retired.") + cls + ".";
-    std::snprintf(buf, sizeof buf,
-                  "\"%s_ets\": %.0f, \"%s_used\": %.6g, \"%s_limit\": %.6g, "
-                  "\"%s_unlimited\": %.0f",
-                  cls, mval(m, live + "count") + mval(m, ret + "count"), cls,
-                  mval(m, live + "used") + mval(m, ret + "used"), cls,
-                  mval(m, live + "limit") + mval(m, ret + "limit"), cls,
-                  mval(m, live + "unlimited") + mval(m, ret + "unlimited"));
-    return std::string(buf);
+  // Only queries carry an eps budget (divergence control is import-only).
+  // The export and update-budget keys stay in schema v5 as literal 0.
+  const auto both = [&](const char* cls, const char* field) {
+    return mval(m, std::string("eps.live.") + cls + "." + field) +
+           mval(m, std::string("eps.retired.") + cls + "." + field);
   };
   out += std::string(indent) + " \"metrics\": {\n";
   std::snprintf(buf, sizeof buf,
                 "%s  \"eps\": {\"charges_ok\": %.0f, \"rejected_import\": "
-                "%.0f, \"rejected_export\": %.0f, \"rejected_admission\": "
-                "%.0f, \"import_charged\": %.6g, \"export_charged\": %.6g,\n",
+                "%.0f, \"rejected_export\": 0, \"rejected_admission\": 0, "
+                "\"import_charged\": %.6g, \"export_charged\": 0,\n",
                 indent, mval(m, "eps.charges_ok"),
-                mval(m, "eps.rejected_import"), mval(m, "eps.rejected_export"),
-                mval(m, "eps.rejected_admission"),
-                mval(m, "eps.import_charged"), mval(m, "eps.export_charged"));
+                mval(m, "eps.rejected_import"), mval(m, "eps.import_charged"));
   out += buf;
-  out += std::string(indent) + "   " + eps_cls("query") + ",\n";
-  out += std::string(indent) + "   " + eps_cls("update") + "},\n";
+  std::snprintf(buf, sizeof buf,
+                "%s   \"query_ets\": %.0f, \"query_used\": %.6g, "
+                "\"query_limit\": %.6g, \"query_unlimited\": %.0f,\n"
+                "%s   \"update_ets\": %.0f, \"update_used\": 0, "
+                "\"update_limit\": 0, \"update_unlimited\": 0},\n",
+                indent, both("query", "count"), both("query", "used"),
+                both("query", "limit"), both("query", "unlimited"), indent,
+                both("update", "count"));
+  out += buf;
   std::snprintf(buf, sizeof buf,
                 "%s  \"db\": {\"commits\": %.0f, \"aborts\": %.0f},\n", indent,
                 mval(m, "db.commits"), mval(m, "db.aborts"));

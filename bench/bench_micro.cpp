@@ -112,7 +112,7 @@ void BM_RegistryBeginEndCommit(benchmark::State& state) {
   // shard mutex.
   static EtRegistry reg;
   for (auto _ : state) {
-    const TxnId id = reg.begin(TxnKind::Update, EpsilonSpec::exporting(10));
+    const TxnId id = reg.begin(TxnKind::Update, EpsilonSpec::serializable());
     benchmark::DoNotOptimize(reg.end_commit(id));
   }
 }

@@ -28,7 +28,9 @@ constexpr Key kLaAccount = 200;
 DistTxnSpec transfer(Value amount) {
   DistTxnSpec spec;
   spec.kind = TxnKind::Update;
-  // The paper splits the $10,000 export budget evenly across the pieces.
+  // The paper splits the $10,000 Limit_t evenly across the pieces.  Update
+  // pieces are never charged here (divergence control is import-only), so
+  // only a query chain spends its share.
   spec.piece_epsilon = 5000;
   spec.pieces = {DistPieceSpec{0, {Access::add(kNyAccount, -amount, amount)}},
                  DistPieceSpec{1, {Access::add(kLaAccount, +amount, amount)}}};

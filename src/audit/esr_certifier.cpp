@@ -17,10 +17,9 @@ namespace {
 
 struct Account {
   Value imported = 0;
-  Value exported = 0;
-  // Worst overrun seen while live (reported only if the ET commits).
-  bool import_over = false, export_over = false;
-  EsrViolation import_viol, export_viol;
+  // First overrun seen while live (reported only if the ET commits).
+  bool import_over = false;
+  EsrViolation import_viol;
 };
 
 }  // namespace
@@ -65,21 +64,10 @@ EsrReport certify_esr(const std::vector<TraceEvent>& events,
         }
         break;
       }
-      case TraceKind::FuzzExport: {
-        Account& acc = accounts[node];
-        acc.exported += e.a;
-        ++report.charges;
-        if (!acc.export_over && over(acc.exported, e.b)) {
-          acc.export_over = true;
-          acc.export_viol = EsrViolation{EsrViolationKind::ExportOverrun, node,
-                                         e.seq, acc.exported, e.b};
-        }
-        break;
-      }
       case TraceKind::TxnCommit: {
         committed.insert(node);
         const Account& acc = accounts[node];  // zero account if never charged
-        const Value replayed = acc.imported + acc.exported;
+        const Value replayed = acc.imported;
         // Cross-check the engine's commit-time Z against the replayed
         // ledger; identical addition order makes this near-exact.
         if (std::fabs(replayed - e.a) >
@@ -89,7 +77,6 @@ EsrReport certify_esr(const std::vector<TraceEvent>& events,
                            replayed, e.a});
         }
         if (acc.import_over) report.violations.push_back(acc.import_viol);
-        if (acc.export_over) report.violations.push_back(acc.export_viol);
         break;
       }
       default:

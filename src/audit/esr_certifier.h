@@ -1,12 +1,12 @@
 // Online epsilon-serializability (ESR) certifier.
 //
-// Replays the fuzziness ledger captured in the trace -- every FuzzImport /
-// FuzzExport increment, each stamped with the account's limit at charge time
-// -- and verifies that no committed ET's accumulated import or export
-// fuzziness ever exceeded its eps-spec (the Limit_t the divergence
-// controller promised to enforce).  It also cross-checks the ledger against
-// the engine's own accounting: the Z a transaction reported at commit must
-// equal the replayed imported + exported total.
+// Replays the fuzziness ledger captured in the trace -- every FuzzImport
+// increment, each stamped with the account's limit at charge time -- and
+// verifies that no committed ET's accumulated import fuzziness ever exceeded
+// its eps-spec (the Limit_t the divergence controller promised to enforce).
+// Divergence control is import-only, so an update ET has no ledger entries.
+// It also cross-checks the ledger against the engine's own accounting: the
+// Z a transaction reported at commit must equal the replayed import total.
 #pragma once
 
 #include <cstdint>
@@ -20,14 +20,12 @@ namespace atp {
 
 enum class EsrViolationKind : std::uint8_t {
   ImportOverrun,   ///< accumulated import exceeded the limit at charge time
-  ExportOverrun,   ///< accumulated export exceeded the limit at charge time
   LedgerMismatch,  ///< commit-time Z disagrees with the replayed ledger
 };
 
 [[nodiscard]] inline const char* to_string(EsrViolationKind k) noexcept {
   switch (k) {
     case EsrViolationKind::ImportOverrun: return "import overrun";
-    case EsrViolationKind::ExportOverrun: return "export overrun";
     case EsrViolationKind::LedgerMismatch: return "ledger mismatch";
   }
   return "?";

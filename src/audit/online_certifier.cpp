@@ -186,16 +186,6 @@ void OnlineCertifier::process_event(const TraceEvent& e) {
       }
       break;
     }
-    case TraceKind::FuzzExport: {
-      TxnState& t = ensure_txn(node, e.seq, e.site);
-      t.exported += e.a;
-      if (opts_.check_esr && !t.export_over && over(t.exported, e.b)) {
-        t.export_over = true;
-        t.export_viol = EsrViolation{EsrViolationKind::ExportOverrun, node,
-                                     e.seq, t.exported, e.b};
-      }
-      break;
-    }
     case TraceKind::TxnCommit: {
       TxnState& t = ensure_txn(node, e.seq, e.site);
       if (t.status != TxnState::Status::Live) break;
@@ -228,14 +218,13 @@ void OnlineCertifier::decide_commit(TxnState& t, AuditNode node,
   if (opts_.check_esr) {
     // Commit-time Z must equal the replayed ledger, and any overrun seen
     // while live now belongs to a *committed* ET: report it.
-    const Value replayed = t.imported + t.exported;
+    const Value replayed = t.imported;
     if (std::fabs(replayed - e.a) >
         1e-9 * std::max<Value>(1, std::fabs(replayed))) {
       record_esr_violation(EsrViolation{EsrViolationKind::LedgerMismatch,
                                         node, e.seq, replayed, e.a});
     }
     if (t.import_over) record_esr_violation(t.import_viol);
-    if (t.export_over) record_esr_violation(t.export_viol);
   }
   t.status = TxnState::Status::Committed;
   --stats_.live_txns;
@@ -433,12 +422,10 @@ void OnlineCertifier::record_violation(OnlineViolation v) {
 
 void OnlineCertifier::record_esr_violation(const EsrViolation& v) {
   ++stats_.esr_violations;
-  OnlineViolation::Kind kind = OnlineViolation::Kind::EsrLedgerMismatch;
-  if (v.kind == EsrViolationKind::ImportOverrun) {
-    kind = OnlineViolation::Kind::EsrImportOverrun;
-  } else if (v.kind == EsrViolationKind::ExportOverrun) {
-    kind = OnlineViolation::Kind::EsrExportOverrun;
-  }
+  const OnlineViolation::Kind kind =
+      v.kind == EsrViolationKind::ImportOverrun
+          ? OnlineViolation::Kind::EsrImportOverrun
+          : OnlineViolation::Kind::EsrLedgerMismatch;
   std::ostringstream out;
   out << "ESR violation: [" << to_string(v.kind);
   if (audit_node_site(v.node) != 0) out << " site" << audit_node_site(v.node);

@@ -101,7 +101,6 @@ struct OnlineViolation {
   enum class Kind : std::uint8_t {
     SrCycle,
     EsrImportOverrun,
-    EsrExportOverrun,
     EsrLedgerMismatch,
   };
   Kind kind = Kind::SrCycle;
@@ -223,9 +222,8 @@ class OnlineCertifier {
     std::vector<SiteKey> touched;    ///< keys to drain when we decide
     // Windowed fuzziness ledger (mirrors the offline ESR account).
     Value imported = 0;
-    Value exported = 0;
-    bool import_over = false, export_over = false;
-    EsrViolation import_viol, export_viol;
+    bool import_over = false;
+    EsrViolation import_viol;
     std::vector<OutEdge> out;  ///< serialization-graph edges (committed)
   };
 

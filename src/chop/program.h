@@ -78,8 +78,10 @@ struct TxnProgram {
   /// Op indices *after which* a rollback statement may execute.  A chopping
   /// is rollback-safe only if every such index lands inside the first piece.
   std::vector<std::size_t> rollback_after;
-  /// Limit_t: the transaction's eps-spec (import side for query ETs, export
-  /// side for update ETs).
+  /// Limit_t: the transaction's eps-spec.  The ESR chopping analysis bounds
+  /// every transaction's inter-sibling fuzziness Z^is by it; at run time
+  /// only a query's is charged (its pieces' import limits), since update
+  /// pieces run serializable.
   Value epsilon_limit = 0;
   /// Administrator's choice: programs marked non-choppable always run as a
   /// single piece (the finest-chopping searches leave them whole).

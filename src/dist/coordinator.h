@@ -40,7 +40,9 @@ struct DistPieceSpec {
 struct DistTxnSpec {
   TxnKind kind = TxnKind::Update;
   /// Per-piece eps budget: the paper pre-divides Limit_t across sites
-  /// (e.g. $10,000 split $5,000 + $5,000 in the NY/LA example).
+  /// (e.g. $10,000 split $5,000 + $5,000 in the NY/LA example).  It is live
+  /// only for a query chain, as each piece's import limit; update pieces
+  /// run serializable and are never charged (spec_for).
   Value piece_epsilon = 0;
   /// Dynamic distribution across the distributed chain (Figure 2 ported to
   /// Section 4): piece 1 runs with the WHOLE budget `piece_epsilon *

@@ -71,20 +71,18 @@ double delta_of(const MetricsSnapshot& now, const MetricsSnapshot* prev,
   return std::max(0.0, d);  // registry swaps can step counters backwards
 }
 
-/// One epsilon-budget line: used/limit across live + retired ETs of a class.
-std::string eps_line(const MetricsSnapshot& s, const char* label,
-                     const std::string& cls, std::size_t bar_cells) {
-  const double used = value_of(s, "eps.live." + cls + ".used") +
-                      value_of(s, "eps.retired." + cls + ".used");
-  const double limit = value_of(s, "eps.live." + cls + ".limit") +
-                       value_of(s, "eps.retired." + cls + ".limit");
-  const double unlimited = value_of(s, "eps.live." + cls + ".unlimited") +
-                           value_of(s, "eps.retired." + cls + ".unlimited");
-  const double count = value_of(s, "eps.live." + cls + ".count") +
-                       value_of(s, "eps.retired." + cls + ".count");
-  std::string out = "  ";
-  out += label;
-  out += ' ';
+/// The query import-budget line: used/limit across live + retired query
+/// ETs (update ETs have no budget).
+std::string eps_line(const MetricsSnapshot& s, std::size_t bar_cells) {
+  const auto both = [&](const char* field) {
+    return value_of(s, std::string("eps.live.query.") + field) +
+           value_of(s, std::string("eps.retired.query.") + field);
+  };
+  const double used = both("used");
+  const double limit = both("limit");
+  const double unlimited = both("unlimited");
+  const double count = both("count");
+  std::string out = "  query  import ";
   out += bar(limit > 0 ? used / limit : 0, bar_cells);
   out += "  used ";
   out += fmt("%.6g", used);
@@ -177,13 +175,9 @@ std::string render_top(const MetricsSnapshot& now, const MetricsSnapshot* prev,
 
   // --- Epsilon budgets ---
   out += "epsilon budgets (used/limit, live + retired)\n";
-  out += eps_line(now, "query  import", "query", bar_cells);
-  out += eps_line(now, "update export", "update", bar_cells);
+  out += eps_line(now, bar_cells);
   out += "  charges " + fmt("%.6g", rate("eps.charges_ok")) + unit;
-  out += "   rejected imp/exp/adm " +
-         fmt("%.6g", rate("eps.rejected_import")) + "/" +
-         fmt("%.6g", rate("eps.rejected_export")) + "/" +
-         fmt("%.6g", rate("eps.rejected_admission"));
+  out += "   rejected " + fmt("%.6g", rate("eps.rejected_import")) + unit;
   out += "   fuzz imported " + fmt("%.6g", value_of(now, "eps.import_charged"));
   out += "\n\n";
 

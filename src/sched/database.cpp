@@ -40,25 +40,19 @@ void collect_db_samples(const EtRegistry& registry, const LockManager& locks,
   const EtRegistry::ChargeStats cs = registry.charge_stats();
   out.counter("eps.charges_ok", double(cs.charges_ok));
   out.counter("eps.rejected_import", double(cs.rejected_import));
-  out.counter("eps.rejected_export", double(cs.rejected_export));
-  out.counter("eps.rejected_admission", double(cs.rejected_admission));
   out.counter("eps.import_charged", cs.import_charged);
-  out.counter("eps.export_charged", cs.export_charged);
   out.counter("eps.retired.query.count", double(cs.retired_query_count));
   out.counter("eps.retired.query.unlimited",
               double(cs.retired_query_unlimited));
   out.counter("eps.retired.query.used", cs.retired_query_used);
   out.counter("eps.retired.query.limit", cs.retired_query_limit);
   out.counter("eps.retired.update.count", double(cs.retired_update_count));
-  out.counter("eps.retired.update.unlimited",
-              double(cs.retired_update_unlimited));
-  out.counter("eps.retired.update.used", cs.retired_update_used);
-  out.counter("eps.retired.update.limit", cs.retired_update_limit);
 
-  // Live ETs: per-kind roll-up of budget consumption (finite limits only --
+  // Live ETs: the queries' budget consumption (finite limits only --
   // infinite budgets would make the utilization ratio meaningless).
-  double live_q_used = 0, live_q_limit = 0, live_u_used = 0, live_u_limit = 0;
-  std::uint64_t live_q = 0, live_u = 0, live_q_inf = 0, live_u_inf = 0;
+  // Updates have no budget and are only counted.
+  double live_q_used = 0, live_q_limit = 0;
+  std::uint64_t live_q = 0, live_u = 0, live_q_inf = 0;
   for (const EtRegistry::Entry& e : registry.snapshot_all()) {
     if (e.kind == TxnKind::Query) {
       ++live_q;
@@ -70,12 +64,6 @@ void collect_db_samples(const EtRegistry& registry, const LockManager& locks,
       }
     } else {
       ++live_u;
-      if (std::isinf(double(e.spec.export_limit))) {
-        ++live_u_inf;
-      } else {
-        live_u_used += double(e.exported);
-        live_u_limit += double(e.spec.export_limit);
-      }
     }
   }
   out.gauge("eps.live.query.count", double(live_q));
@@ -83,9 +71,6 @@ void collect_db_samples(const EtRegistry& registry, const LockManager& locks,
   out.gauge("eps.live.query.used", live_q_used);
   out.gauge("eps.live.query.limit", live_q_limit);
   out.gauge("eps.live.update.count", double(live_u));
-  out.gauge("eps.live.update.unlimited", double(live_u_inf));
-  out.gauge("eps.live.update.used", live_u_used);
-  out.gauge("eps.live.update.limit", live_u_limit);
   out.gauge("db.live_ets", double(live_q + live_u));
 
   // Per-stripe contention heatmap.
@@ -191,13 +176,13 @@ Txn Database::begin(TxnKind kind, EpsilonSpec spec, TxnId parent,
       // snapshot visibility.  TxnBegin.key carries snapshot+1 (0 = no
       // snapshot).
       Tracer::emit(opts_.tracer, TraceKind::TxnBegin, opts_.site_id, id,
-                   snap + 1, spec.import_limit, spec.export_limit, 0, parent);
+                   snap + 1, spec.import_limit, 0, 0, parent);
     });
     t.has_snapshot_ = true;
   } else {
     Tracer::emit(opts_.tracer, TraceKind::TxnBegin, opts_.site_id, id, 0,
-                 spec.import_limit, spec.export_limit,
-                 kind == TxnKind::Update ? 1 : 0, parent);
+                 spec.import_limit, 0, kind == TxnKind::Update ? 1 : 0,
+                 parent);
   }
   return t;
 }
@@ -391,7 +376,7 @@ Status Txn::write(Key key, Value value) {
   if (kind_ != TxnKind::Update)
     return Status::InvalidArgument("query ETs are read-only");
   // Plain strict 2PL: X conflicts only with other updates now that queries
-  // read versions.  No divergence is exported at write time -- a query that
+  // read versions.  Nothing is charged at write time -- a query that
   // wants to see past our commit pays from its own import budget when it
   // reads (DcResolver::read_fresh), priced off version timestamps.
   lock_stripes_ |= LockManager::stripe_bit(key);

@@ -8,7 +8,7 @@
 //
 // Transactions are driven through the Txn handle:
 //
-//   Txn t = db.begin(TxnKind::Update, EpsilonSpec::exporting(100));
+//   Txn t = db.begin(TxnKind::Update, EpsilonSpec::serializable());
 //   t.add(kAccountX, -50);   // X-lock, read-modify-write
 //   t.add(kAccountY, +50);
 //   Status s = t.commit();   // or t.abort()

@@ -21,7 +21,8 @@
 // the state the query observed and the serializable snapshot state -- the
 // epsilon-serializability contract the ESR certifier replays.  A query can
 // never observe uncommitted state, so nothing is decided in the lock table:
-// updates never export and never block on query budgets.
+// update ETs carry no eps budget, are never charged and never block on
+// query budgets.
 #pragma once
 
 #include <unordered_map>

@@ -7,9 +7,9 @@ namespace atp::server {
 
 std::vector<ClassPolicy> default_classes() {
   return {
-      {"gold", 0, 0, kInfiniteLimit, 64},
-      {"silver", 500, 500, /*concurrent_budget=*/4000, 32},
-      {"bronze", 100000, 100000, kInfiniteLimit, 16},
+      {"gold", 0, kInfiniteLimit, 64},
+      {"silver", 500, /*concurrent_budget=*/4000, 32},
+      {"bronze", 100000, kInfiniteLimit, 16},
   };
 }
 
@@ -26,7 +26,7 @@ bool parse_class_policy(const std::string& spec, ClassPolicy* out) {
     parts.push_back(spec.substr(start, colon - start));
     start = colon + 1;
   }
-  if (parts.size() < 3 || parts.size() > 5 || parts[0].empty()) return false;
+  if (parts.size() < 2 || parts.size() > 4 || parts[0].empty()) return false;
   auto num = [](const std::string& s, double* v) {
     if (s == "inf") {
       *v = double(kInfiniteLimit);
@@ -37,18 +37,17 @@ bool parse_class_policy(const std::string& spec, ClassPolicy* out) {
     return end != nullptr && *end == '\0' && !s.empty() && *v >= 0;
   };
   p.name = parts[0];
-  double imp_lim = 0, exp_lim = 0;
-  if (!num(parts[1], &imp_lim) || !num(parts[2], &exp_lim)) return false;
-  p.import_ceiling = imp_lim;
-  p.export_ceiling = exp_lim;
-  if (parts.size() >= 4) {
+  double limit = 0;
+  if (!num(parts[1], &limit)) return false;
+  p.import_ceiling = limit;
+  if (parts.size() >= 3) {
     double budget = 0;
-    if (!num(parts[3], &budget)) return false;
+    if (!num(parts[2], &budget)) return false;
     p.concurrent_budget = budget;
   }
-  if (parts.size() == 5) {
+  if (parts.size() == 4) {
     double window = 0;
-    if (!num(parts[4], &window) || window < 1 || window > 4096 ||
+    if (!num(parts[3], &window) || window < 1 || window > 4096 ||
         std::isinf(window)) {
       return false;
     }
@@ -69,16 +68,12 @@ const ClassPolicy* AdmissionController::find(const std::string& name) const {
 }
 
 Value AdmissionController::cost_of(const EpsilonSpec& spec) noexcept {
-  Value cost = 0;
-  if (!std::isinf(spec.import_limit)) cost += spec.import_limit;
-  if (!std::isinf(spec.export_limit)) cost += spec.export_limit;
-  return cost;
+  return std::isinf(spec.import_limit) ? 0 : spec.import_limit;
 }
 
 AdmissionController::Grant AdmissionController::admit(const ClassPolicy& cls,
                                                       TxnKind kind,
-                                                      double req_import,
-                                                      double req_export) {
+                                                      double req_import) {
   Grant g;
   // Negative request = "give me the class default".  NaN is a hostile wire
   // value; treat it as a default request rather than letting it poison the
@@ -86,22 +81,15 @@ AdmissionController::Grant AdmissionController::admit(const ClassPolicy& cls,
   const Value imp_lim = (req_import < 0 || std::isnan(req_import))
                             ? cls.import_ceiling
                             : Value(req_import);
-  const Value exp_lim = (req_export < 0 || std::isnan(req_export))
-                            ? cls.export_ceiling
-                            : Value(req_export);
-  if (imp_lim > cls.import_ceiling || exp_lim > cls.export_ceiling) {
+  if (imp_lim > cls.import_ceiling) {
     g.status = Status::EpsilonExceeded(
         "class '" + cls.name + "' ceiling import=" +
-        std::to_string(double(cls.import_ceiling)) +
-        " export=" + std::to_string(double(cls.export_ceiling)));
+        std::to_string(double(cls.import_ceiling)));
     return g;
   }
-  // The granted spec follows the paper's sides: queries import, updates
-  // export (spec_for); granting both sides as requested keeps symmetric
-  // classes simple while the kind picks which side divergence control uses.
-  EpsilonSpec spec;
-  spec.import_limit = kind == TxnKind::Query ? imp_lim : 0;
-  spec.export_limit = kind == TxnKind::Update ? exp_lim : 0;
+  // Divergence control is import-only: a query gets the limit it asked for,
+  // an update is serializable and costs the class nothing (spec_for).
+  const EpsilonSpec spec = spec_for(kind, imp_lim);
 
   const Value cost = cost_of(spec);
   {

@@ -5,15 +5,18 @@
 // authenticates as a *class*, and the class policy decides what its
 // transactions may ask of divergence control:
 //
-//   * per-transaction ceilings: the largest import/export limits a Begin may
+//   * a per-transaction ceiling: the largest import limit a Begin may
 //     request.  A "gold" class with ceiling 0 is the serializable special
-//     case (eps = 0); a "bronze" class with a huge ceiling runs almost
-//     unblocked by DC and gets the Section 1.1 throughput win in exchange
-//     for fuzziness.  A Begin asking beyond its ceiling is REJECTED -- a
-//     client cannot buy consistency laxity its class didn't pay for.
+//     case (eps = 0); a "bronze" class with a huge ceiling lets its queries
+//     read fresh versions and gets the Section 1.1 throughput win in
+//     exchange for fuzziness.  A Begin asking beyond its ceiling is
+//     REJECTED -- a client cannot buy consistency laxity its class didn't
+//     pay for.  Divergence control is import-only in this engine, so only a
+//     query's limit is granted; an update ET is serializable and has no eps
+//     budget.
 //
 //   * a concurrent budget: the summed finite eps granted to the class's
-//     in-flight transactions.  When exhausted, further Begins are rejected
+//     in-flight queries.  When exhausted, further Begins are rejected
 //     (kUnavailable -- retry later), which bounds the total fuzziness the
 //     class can have outstanding at once.  Rejections are counted per class
 //     through the obs registry (srv.admission.rejected.<class>).
@@ -41,8 +44,7 @@ namespace atp::server {
 
 struct ClassPolicy {
   std::string name;
-  Value import_ceiling = 0;  ///< max import limit a Begin may request
-  Value export_ceiling = 0;  ///< max export limit a Begin may request
+  Value import_ceiling = 0;  ///< max import limit a query Begin may request
   /// Cap on summed finite eps granted to concurrently-live transactions of
   /// this class; kInfiniteLimit = unmetered.
   Value concurrent_budget = kInfiniteLimit;
@@ -55,7 +57,7 @@ struct ClassPolicy {
 ///   bronze  huge ceilings, unmetered -- the "throughput at eps" tier
 [[nodiscard]] std::vector<ClassPolicy> default_classes();
 
-/// Parse "name:import:export[:budget[:window]]" (atpd --class flag).
+/// Parse "name:limit[:budget[:window]]" (atpd --class flag).
 /// Returns false on malformed input.
 bool parse_class_policy(const std::string& spec, ClassPolicy* out);
 
@@ -73,11 +75,11 @@ class AdmissionController {
     Status status;     ///< rejection reason otherwise
   };
 
-  /// Decide a Begin from class `cls`: requested limits < 0 mean "class
-  /// default" (the ceiling); anything above the ceiling or beyond the
+  /// Decide a Begin from class `cls`: a requested import limit < 0 means
+  /// "class default" (the ceiling); anything above the ceiling or beyond the
   /// class's remaining concurrent budget is rejected.
   [[nodiscard]] Grant admit(const ClassPolicy& cls, TxnKind kind,
-                            double req_import, double req_export);
+                            double req_import);
 
   /// Return a granted spec's budget (transaction ended or session died).
   void release(const ClassPolicy& cls, const EpsilonSpec& granted);
@@ -90,8 +92,8 @@ class AdmissionController {
   }
 
  private:
-  /// The budget cost of a granted spec: its finite components (an infinite
-  /// side is unmetered -- only classes with finite ceilings are metered).
+  /// The budget cost of a granted spec: its import limit when finite (an
+  /// infinite limit is unmetered -- only finite ceilings are metered).
   [[nodiscard]] static Value cost_of(const EpsilonSpec& spec) noexcept;
 
   std::vector<ClassPolicy> classes_;

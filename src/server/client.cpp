@@ -117,19 +117,16 @@ Status Client::hello(const std::string& client_class) {
   }
   info_.name = reply.text;
   info_.import_ceiling = reply.value;
-  info_.export_ceiling = reply.value2;
   info_.window = reply.key;
   return Status::Ok();
 }
 
-Result<std::uint64_t> Client::begin(TxnKind kind, double import_limit,
-                                    double export_limit) {
+Result<std::uint64_t> Client::begin(TxnKind kind, double import_limit) {
   WireMessage req;
   req.kind = MsgKind::kBegin;
   req.txn = next_txn_++;
   req.op = std::uint8_t(kind);
   req.value = import_limit;
-  req.value2 = export_limit;
   const std::uint64_t handle = req.txn;
   Result<WireMessage> r = call(std::move(req));
   if (!r.ok()) return r.status();

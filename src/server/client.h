@@ -80,7 +80,6 @@ class SimByteChannel final : public ByteChannel {
 struct ClassInfo {
   std::string name;
   double import_ceiling = 0;
-  double export_ceiling = 0;
   std::uint64_t window = 0;  ///< per-session in-flight request window
 };
 
@@ -99,10 +98,10 @@ class Client {
   [[nodiscard]] const ClassInfo& class_info() const noexcept { return info_; }
 
   /// Open a transaction; returns the client-side handle used in every later
-  /// call.  Negative limits mean "class default" (the ceiling).
+  /// call.  A negative import limit means "class default" (the ceiling); an
+  /// update ET has no eps budget and ignores it.
   [[nodiscard]] Result<std::uint64_t> begin(TxnKind kind,
-                                            double import_limit = -1,
-                                            double export_limit = -1);
+                                            double import_limit = -1);
 
   [[nodiscard]] Result<Value> read(std::uint64_t txn, Key key);
   Status write(std::uint64_t txn, Key key, Value value);

@@ -7,8 +7,8 @@ namespace atp::server {
 namespace {
 
 // Fixed payload record: seq(8) + txn(8) + op(1) + key(8) + value(8) +
-// value2(8) + text_len(2) = 43 bytes before the text.
-constexpr std::size_t kFixedPayload = 43;
+// text_len(2) = 35 bytes before the text.
+constexpr std::size_t kFixedPayload = 35;
 // Frame body = version(1) + kind(1) + payload.
 constexpr std::size_t kBodyOverhead = 2;
 
@@ -103,7 +103,6 @@ void encode_frame(const WireMessage& msg, std::string* out) {
   out->push_back(char(msg.op));
   put_u64(out, msg.key);
   put_f64(out, msg.value);
-  put_f64(out, msg.value2);
   put_u16(out, tl);
   out->append(msg.text.data(), tl);
 }
@@ -128,7 +127,7 @@ DecodeStatus decode_frame(std::string_view data, WireMessage* out,
   if (body[0] != kProtocolVersion) return DecodeStatus::kBad;
   if (!known_kind(body[1])) return DecodeStatus::kBad;
   const unsigned char* f = body + kBodyOverhead;
-  const std::uint16_t text_len = get_u16(f + 41);
+  const std::uint16_t text_len = get_u16(f + 33);
   if (std::size_t(len) != kBodyOverhead + kFixedPayload + text_len) {
     return DecodeStatus::kBad;  // the two length fields disagree
   }
@@ -139,8 +138,7 @@ DecodeStatus decode_frame(std::string_view data, WireMessage* out,
   m.op = f[16];
   m.key = get_u64(f + 17);
   m.value = get_f64(f + 25);
-  m.value2 = get_f64(f + 33);
-  m.text.assign(reinterpret_cast<const char*>(f + 43), text_len);
+  m.text.assign(reinterpret_cast<const char*>(f + 35), text_len);
   *out = std::move(m);
   *consumed = 4 + std::size_t(len);
   return DecodeStatus::kOk;

@@ -12,7 +12,7 @@
 // every kind -- unused fields encode as zero -- which keeps the decoder a
 // single bounds-checked path and makes round-trip testing exhaustive:
 //
-//   [u64 seq][u64 txn][u8 op][u64 key][f64 value][f64 value2][u16 len][text]
+//   [u64 seq][u64 txn][u8 op][u64 key][f64 value][u16 len][text]
 //
 //   seq    client-chosen request sequence number, echoed on the reply --
 //          the correlation id of the protocol
@@ -20,8 +20,8 @@
 //          everywhere else)
 //   op     OpCode on kOp requests; ErrorCode on kError replies
 //   key    data item (kOp)
-//   value  op delta / written value / read result / granted import limit
-//   value2 requested/granted eps limit second component
+//   value  op delta / written value / read result / requested or granted
+//          import limit
 //   text   client class (kHello), error message (kError)
 //
 // Doubles travel as IEEE-754 bit patterns (memcpy through u64); every
@@ -41,7 +41,9 @@
 
 namespace atp::server {
 
-constexpr std::uint8_t kProtocolVersion = 1;
+/// Bumped whenever the fixed payload record changes; a frame of any other
+/// version is refused (DecodeStatus::kBad).
+constexpr std::uint8_t kProtocolVersion = 2;
 
 /// Hard ceiling on one frame (length field value).  Nothing the protocol
 /// carries is remotely this large; anything bigger is a corrupt or hostile
@@ -51,16 +53,16 @@ constexpr std::uint32_t kMaxFrameBytes = 1 << 16;
 enum class MsgKind : std::uint8_t {
   // Requests (client -> server).
   kHello = 1,   ///< handshake: text = client class name
-  kBegin = 2,   ///< open txn `txn`; op = TxnKind, value/value2 = requested
-                ///< import/export limits (negative = class default)
+  kBegin = 2,   ///< open txn `txn`; op = TxnKind, value = requested import
+                ///< limit (negative = class default)
   kOp = 3,      ///< op on txn `txn`: OpCode in `op`, key, value
   kCommit = 4,  ///< commit txn `txn`
   kAbort = 5,   ///< abort txn `txn`
   kPing = 6,    ///< liveness probe / fence
 
   // Replies (server -> client).
-  kHelloOk = 64,  ///< text = granted class; value/value2 = class import/
-                  ///< export ceilings; key = per-session in-flight window
+  kHelloOk = 64,  ///< text = granted class; value = class import ceiling;
+                  ///< key = per-session in-flight window
   kOk = 65,       ///< request `seq` done (begin/commit/abort/ping)
   kValue = 66,    ///< read result in `value`
   kError = 67,    ///< request failed: ErrorCode in `op`, text = message
@@ -84,7 +86,6 @@ struct WireMessage {
   std::uint8_t op = 0;
   Key key = 0;
   double value = 0;
-  double value2 = 0;
   std::string text;
 
   friend bool operator==(const WireMessage&, const WireMessage&) = default;

@@ -166,7 +166,6 @@ WireMessage Session::handle_hello(const WireMessage& req) {
   r.seq = req.seq;
   r.text = cls->name;
   r.value = double(cls->import_ceiling);
-  r.value2 = double(cls->export_ceiling);
   r.key = cls->window;
   return r;
 }
@@ -187,7 +186,7 @@ WireMessage Session::handle_begin(const WireMessage& req) {
   const TxnKind kind =
       req.op == std::uint8_t(TxnKind::Query) ? TxnKind::Query : TxnKind::Update;
   const AdmissionController::Grant grant =
-      admission_.admit(*cls, kind, req.value, req.value2);
+      admission_.admit(*cls, kind, req.value);
   if (!grant.admitted) {
     auto it = counters_.admission_rejected.find(cls->name);
     if (it != counters_.admission_rejected.end()) {

@@ -62,7 +62,6 @@ const char* category_of(TraceKind k) {
     case TraceKind::LockTimeout:
       return "lock";
     case TraceKind::FuzzImport:
-    case TraceKind::FuzzExport:
       return "epsilon";
     case TraceKind::QueueEnqueue:
     case TraceKind::QueueDequeue:

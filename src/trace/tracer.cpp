@@ -27,7 +27,6 @@ const char* to_string(TraceKind kind) noexcept {
     case TraceKind::LockDeadlock: return "lock_deadlock";
     case TraceKind::LockTimeout: return "lock_timeout";
     case TraceKind::FuzzImport: return "fuzz_import";
-    case TraceKind::FuzzExport: return "fuzz_export";
     case TraceKind::QueueEnqueue: return "queue_enqueue";
     case TraceKind::QueueDequeue: return "queue_dequeue";
     case TraceKind::QueueDeliver: return "queue_deliver";

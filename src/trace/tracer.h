@@ -16,7 +16,7 @@
 //
 // The captured history is the input to the audit layer (src/audit/): the SR
 // certifier rebuilds the direct-serialization graph from Read/Write events,
-// and the ESR certifier replays the FuzzImport/FuzzExport ledger.  The
+// and the ESR certifier replays the FuzzImport ledger.  The
 // exporters (trace/export.h) turn the same events into Chrome trace_event
 // JSON (chrome://tracing, Perfetto) and newline-delimited JSON.
 //
@@ -60,9 +60,10 @@ class MetricsRegistry;
 /// fields are zero.
 enum class TraceKind : std::uint8_t {
   // Epsilon-transaction (ET) lifecycle -- sched/.
-  TxnBegin,    ///< txn; a=import limit, b=export limit; aux=1 if update ET;
+  TxnBegin,    ///< txn; a=import limit; b unused (0); aux=1 if update ET;
                ///< aux2=parent id (0 when unchopped)
-  TxnCommit,   ///< txn; a=final fuzziness Z (imported+exported)
+  TxnCommit,   ///< txn; a=final fuzziness Z (what it imported; 0 for an
+               ///< update ET, which is never charged)
   TxnAbort,    ///< txn
   Read,        ///< txn, key; a=value observed
   Write,       ///< txn, key; a=value installed
@@ -82,9 +83,7 @@ enum class TraceKind : std::uint8_t {
   LockTimeout,   ///< txn, key; aux=mode
   // Divergence-control fuzziness ledger -- txn/.
   FuzzImport,  ///< txn=query ET; a=amount; b=import limit at charge time;
-               ///< aux2=counterpart update ET (0 for a self-import)
-  FuzzExport,  ///< txn=update ET; a=amount; b=export limit at charge time;
-               ///< aux2=counterpart query ET
+               ///< aux2 unused (0)
   // Recoverable queues -- queue/.
   QueueEnqueue,    ///< txn; aux=qmsg id; aux2=destination site
   QueueDequeue,    ///< txn; aux=qmsg id (claim staged under txn)

@@ -1,9 +1,13 @@
 // Epsilon-specification types (Section 1.1).
 //
-// Each epsilon transaction (ET) carries an eps-spec: an *import* inconsistency
-// limit if it is a query ET (how much fuzziness it may observe) and an
-// *export* inconsistency limit if it is an update ET (how much fuzziness its
-// uncommitted writes may leak to concurrent queries).  Classic serializable
+// In the paper each epsilon transaction (ET) carries an eps-spec: an
+// *import* inconsistency limit if it is a query ET (how much fuzziness it
+// may observe) and an *export* limit if it is an update ET (how much its
+// uncommitted writes may leak to concurrent queries).  This engine's
+// divergence control runs over a multi-version store: a query observes only
+// committed versions and pays for their divergence from its snapshot itself,
+// so nothing is ever charged to an update ET and the spec is import-only.
+// An update ET runs serializable (eps = 0).  Classic serializable
 // transactions are the special case eps = 0; unrestricted chopped pieces use
 // eps = infinity to bypass divergence control entirely (Section 2.2).
 #pragma once
@@ -14,30 +18,24 @@ namespace atp {
 
 struct EpsilonSpec {
   Value import_limit = 0;  ///< max fuzziness a query ET may accumulate
-  Value export_limit = 0;  ///< max fuzziness an update ET may leak
 
-  [[nodiscard]] static EpsilonSpec serializable() noexcept { return {0, 0}; }
+  [[nodiscard]] static EpsilonSpec serializable() noexcept { return {0}; }
   [[nodiscard]] static EpsilonSpec unlimited() noexcept {
-    return {kInfiniteLimit, kInfiniteLimit};
-  }
-  [[nodiscard]] static EpsilonSpec symmetric(Value eps) noexcept {
-    return {eps, eps};
+    return {kInfiniteLimit};
   }
   [[nodiscard]] static EpsilonSpec importing(Value eps) noexcept {
-    return {eps, 0};
-  }
-  [[nodiscard]] static EpsilonSpec exporting(Value eps) noexcept {
-    return {0, eps};
+    return {eps};
   }
 
   friend bool operator==(const EpsilonSpec&, const EpsilonSpec&) = default;
 };
 
-/// The eps-spec a `kind` ET runs with when its Limit is `limit`: query ETs
-/// import, update ETs export (Section 1.1).
+/// The eps-spec a `kind` ET runs with when its Limit is `limit`: a query ET
+/// imports up to `limit`; an update ET is never charged, so it runs
+/// serializable whatever its Limit.
 [[nodiscard]] inline EpsilonSpec spec_for(TxnKind kind, Value limit) noexcept {
   return kind == TxnKind::Query ? EpsilonSpec::importing(limit)
-                                : EpsilonSpec::exporting(limit);
+                                : EpsilonSpec::serializable();
 }
 
 }  // namespace atp

@@ -6,12 +6,14 @@
 namespace atp {
 
 // relaxed-ok(begin): every relaxed access in this file is one of three
-// audited patterns.  (1) Slot budget fields (imported/exported and the
-// limits) are mutated only under charge_mu_ inside a write_begin() /
+// audited patterns.  (1) Slot budget fields (imported and the import
+// limit) are mutated only under charge_mu_ inside a write_begin() /
 // write_end() epoch window -- both acq_rel RMWs, so the odd-epoch store
 // cannot sink below them nor the data stores hoist above; lock-free readers
-// go through epoch_consistent(), which pairs an acquire fence with an
-// even-epoch recheck, so a torn read is detected and retried, never used.
+// of a (counter, limit) pair go through epoch_consistent(), which pairs an
+// acquire fence with an even-epoch recheck, so a torn read is detected and
+// retried, never used.  A reader of the counter alone (fuzziness_of) needs
+// no epoch: one atomic load cannot tear.
 // (2) ChargeCounters and per-shard Retired telemetry cells are mutated under
 // charge_mu_ or a shard's exclusive mu and read as statistics where torn
 // totals are tolerated.  (3) next_id_ tickets need the RMW's atomicity only
@@ -37,7 +39,6 @@ TxnId EtRegistry::begin(TxnKind kind, EpsilonSpec spec, TxnId parent) {
   slot.kind = kind;
   slot.parent = parent;
   slot.import_limit.store(spec.import_limit, std::memory_order_relaxed);
-  slot.export_limit.store(spec.export_limit, std::memory_order_relaxed);
   return id;
 }
 
@@ -70,9 +71,7 @@ EtRegistry::Entry EtRegistry::entry_of(const Slot& s) {
   e.kind = s.kind;
   e.parent = s.parent;
   e.spec.import_limit = s.import_limit.load(std::memory_order_relaxed);
-  e.spec.export_limit = s.export_limit.load(std::memory_order_relaxed);
   e.imported = s.imported.load(std::memory_order_relaxed);
-  e.exported = s.exported.load(std::memory_order_relaxed);
   return e;
 }
 
@@ -89,10 +88,7 @@ Value EtRegistry::fuzziness_of(TxnId id) const {
   std::shared_lock lock(sh.mu);
   const Slot* s = find(sh, id);
   if (!s) return 0;
-  return epoch_consistent([&]() -> Value {
-    return s->imported.load(std::memory_order_relaxed) +
-           s->exported.load(std::memory_order_relaxed);
-  });
+  return s->imported.load(std::memory_order_relaxed);
 }
 
 void EtRegistry::set_spec(TxnId id, EpsilonSpec spec) {
@@ -103,7 +99,6 @@ void EtRegistry::set_spec(TxnId id, EpsilonSpec spec) {
   std::lock_guard clock(charge_mu_);
   write_begin();
   s->import_limit.store(spec.import_limit, std::memory_order_relaxed);
-  s->export_limit.store(spec.export_limit, std::memory_order_relaxed);
   write_end();
 }
 
@@ -118,13 +113,12 @@ Value EtRegistry::end_commit(TxnId id) {
     // Exclusive shard lock: no charge on this ET holds the shared side, so
     // the counters are quiescent and plain relaxed loads are final values.
     const Slot& s = it->second;
-    z = s.imported.load(std::memory_order_relaxed) +
-        s.exported.load(std::memory_order_relaxed);
+    z = s.imported.load(std::memory_order_relaxed);
     parent = s.parent;
-    // Retirement roll-up for the obs layer: fold the ET's budget consumption
-    // into the shard's per-kind telemetry (its own slot is about to go).
+    // Retirement roll-up for the obs layer: fold a query's budget
+    // consumption into the shard's telemetry (its own slot is about to go).
     // Infinite limits are tallied apart so utilization ratios stay
-    // meaningful.
+    // meaningful.  An update has no budget and is only counted.
     Retired& r = sh.retired;
     if (s.kind == TxnKind::Query) {
       const Value lim = s.import_limit.load(std::memory_order_relaxed);
@@ -132,18 +126,11 @@ Value EtRegistry::end_commit(TxnId id) {
       if (std::isinf(lim)) {
         stat_inc(r.query_unlimited);
       } else {
-        stat_add(r.query_used, s.imported.load(std::memory_order_relaxed));
+        stat_add(r.query_used, z);
         stat_add(r.query_limit, lim);
       }
     } else {
-      const Value lim = s.export_limit.load(std::memory_order_relaxed);
       stat_inc(r.update_count);
-      if (std::isinf(lim)) {
-        stat_inc(r.update_unlimited);
-      } else {
-        stat_add(r.update_used, s.exported.load(std::memory_order_relaxed));
-        stat_add(r.update_limit, lim);
-      }
     }
     sh.live.erase(it);
   }
@@ -213,10 +200,6 @@ EtRegistry::ChargeStats EtRegistry::charge_stats() const {
     s.retired_query_used += r.query_used.load(std::memory_order_relaxed);
     s.retired_query_limit += r.query_limit.load(std::memory_order_relaxed);
     s.retired_update_count += r.update_count.load(std::memory_order_relaxed);
-    s.retired_update_unlimited +=
-        r.update_unlimited.load(std::memory_order_relaxed);
-    s.retired_update_used += r.update_used.load(std::memory_order_relaxed);
-    s.retired_update_limit += r.update_limit.load(std::memory_order_relaxed);
   }
   return s;
 }

@@ -12,9 +12,10 @@
 // Bulk reads (snapshot_all, live_count) visit the shards one at a time, and
 // end_commit drops the piece's shard before it adds Z_p to the parent's.
 //
-// Charges are single-ET: the query side's import account (divergence
-// control prices a fresh read off version timestamps, DcResolver) and the
-// eps-spec rewrites of dynamic limit distribution.  Mutations serialize
+// Charges are single-ET and import-only: divergence control prices a
+// query's fresh read off version timestamps (DcResolver) and charges the
+// query's own account; an update ET has no account.  The other mutation is
+// the eps-spec rewrite of dynamic limit distribution.  Mutations serialize
 // behind charge_mu_ and write inside an epoch window (seqlock discipline):
 // a charge bumps the epoch to odd, applies its stores, bumps back to even; a
 // reader retries until it sees the same even epoch on both sides of its
@@ -63,8 +64,7 @@ class EtRegistry {
     TxnKind kind = TxnKind::Update;
     TxnId parent = kInvalidTxn;  ///< original transaction, if a chopped piece
     EpsilonSpec spec;
-    Value imported = 0;  ///< fuzziness observed so far (query side)
-    Value exported = 0;  ///< fuzziness leaked so far (update side)
+    Value imported = 0;  ///< fuzziness observed so far (its Z)
   };
 
   /// Register a new ET and return its id.  `parent` links a chopped piece to
@@ -77,35 +77,33 @@ class EtRegistry {
     return next_id_.fetch_add(1, std::memory_order_relaxed);  // relaxed-ok: uniqueness, not ordering
   }
 
-  /// Charge `amount` to the query ET's own import account with no export
-  /// counterpart -- divergence control prices a fresh read (DcResolver)
-  /// against already-committed updates, whose export accounts are gone.
-  /// All-or-nothing against the import limit.
+  /// Charge `amount` to the query ET's own import account -- divergence
+  /// control prices a fresh read (DcResolver) against already-committed
+  /// updates, which are never charged.  All-or-nothing against the import
+  /// limit.
   bool try_self_import(TxnId query_et, Value amount);
 
   /// Cumulative charge/rejection telemetry plus roll-ups of ended ETs,
   /// maintained inline (relaxed atomics, all mutated under existing locks)
   /// so the obs layer can report epsilon budgets as an operational quantity.
-  /// "used"/"limit" are per-kind: a query's budget is its import side, an
-  /// update's its export side; ETs whose limit on that side is infinite are
-  /// counted in `*_unlimited` and excluded from the used/limit sums so a
-  /// utilization ratio stays meaningful.
+  /// Budgets are the queries' import limits; queries whose limit is
+  /// infinite are counted in `retired_query_unlimited` and excluded from the
+  /// used/limit sums so a utilization ratio stays meaningful.  Update ETs
+  /// have no budget and are only counted.
   struct ChargeStats {
     std::uint64_t charges_ok = 0;          ///< successful charge operations
     std::uint64_t rejected_import = 0;     ///< refusals: import limit hit
     double import_charged = 0;             ///< total fuzziness imported
-    // The next three stay 0: every charge is an import now (DC prices
-    // reads and never grants past a lock).  They are kept so the eps.*
-    // metric family keeps its shape for its readers.
-    std::uint64_t rejected_export = 0;     ///< refusals: export limit hit
-    std::uint64_t rejected_admission = 0;  ///< DC feasibility peeks refused
-    double export_charged = 0;             ///< total fuzziness exported
     std::uint64_t retired_query_count = 0;
     std::uint64_t retired_query_unlimited = 0;
     double retired_query_used = 0;
     double retired_query_limit = 0;
     std::uint64_t retired_update_count = 0;
-    std::uint64_t retired_update_unlimited = 0;
+    // Pinned at 0: nothing here writes them, since an update ET has no eps
+    // budget.  They stay only for perfbench/src/layers.cpp, which sums them
+    // into its eps.rejected and eps.used_frac.update layer metrics.
+    std::uint64_t rejected_export = 0;
+    std::uint64_t rejected_admission = 0;
     double retired_update_used = 0;
     double retired_update_limit = 0;
   };
@@ -122,7 +120,7 @@ class EtRegistry {
   /// sweep may or may not appear.
   [[nodiscard]] std::vector<Entry> snapshot_all() const;
 
-  /// Total fuzziness of the ET: imported + exported (for a piece, its Z_p).
+  /// Total fuzziness of the ET: what it imported (for a piece, its Z_p).
   [[nodiscard]] Value fuzziness_of(TxnId id) const;
 
   /// Replace the ET's epsilon spec (dynamic limit distribution adjusts piece
@@ -145,7 +143,7 @@ class EtRegistry {
 
   [[nodiscard]] std::size_t live_count() const;
 
-  /// Attach a tracer: every successful import/export charge is recorded as a
+  /// Attach a tracer: every successful import charge is recorded as a
   /// fuzziness-ledger event (amount + the limit in force), which is what the
   /// ESR certifier replays.
   void set_trace(Tracer* tracer, SiteId site) noexcept {
@@ -159,18 +157,16 @@ class EtRegistry {
   static constexpr std::size_t kShards = 16;
 
   /// Live ET record, stored in its shard's map node (stable address while
-  /// the ET lives).  One cache line per ET: the import/export counters are
-  /// the write-hot fields.  id/kind/parent are immutable after begin(); the
-  /// limits and counters are atomics mutated only under charge_mu_ inside an
-  /// epoch window, and read lock-free under the epoch protocol.
+  /// the ET lives).  One cache line per ET: the import counter is the
+  /// write-hot field.  id/kind/parent are immutable after begin(); the limit
+  /// and counter are atomics mutated only under charge_mu_ inside an epoch
+  /// window, and read lock-free under the epoch protocol.
   struct alignas(64) Slot {
     TxnId id = kInvalidTxn;
     TxnKind kind = TxnKind::Update;
     TxnId parent = kInvalidTxn;
     std::atomic<Value> import_limit{0};
-    std::atomic<Value> export_limit{0};
     std::atomic<Value> imported{0};
-    std::atomic<Value> exported{0};
   };
 
   /// Retirement roll-up of one shard: mutated under the shard's exclusive
@@ -181,9 +177,6 @@ class EtRegistry {
     std::atomic<double> query_used{0};
     std::atomic<double> query_limit{0};
     std::atomic<std::uint64_t> update_count{0};
-    std::atomic<std::uint64_t> update_unlimited{0};
-    std::atomic<double> update_used{0};
-    std::atomic<double> update_limit{0};
   };
 
   /// One shard.  `mu` guards the maps' structure (insert/erase/lookup), NOT

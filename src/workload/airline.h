@@ -29,7 +29,7 @@ struct AirlineConfig {
   double report_fraction = 0.05;       ///< of instances (global query)
   std::size_t availability_scan = 8;   ///< flights per availability query
   double zipf_theta = 0.6;       ///< popular-flight skew
-  Value update_epsilon = 1000;   ///< Limit_t of reservations (export)
+  Value update_epsilon = 1000;   ///< Limit_t of reservations
   Value query_epsilon = 2000;    ///< Limit_t of queries (import)
   double rollback_probability = 0.0;   ///< sold-out rollbacks
 };

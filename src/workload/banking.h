@@ -35,7 +35,7 @@ struct BankingConfig {
   double global_audit_fraction = 0.05;  ///< of instances
   std::size_t audit_scan = 16;   ///< accounts a branch audit reads
   double zipf_theta = 0.0;       ///< account-selection skew
-  Value update_epsilon = 200;    ///< Limit_t of transfers (export side)
+  Value update_epsilon = 200;    ///< Limit_t of transfers
   Value query_epsilon = 400;     ///< Limit_t of audits (import side)
   double rollback_probability = 0.0;  ///< transfers that take the rollback
   /// Hops per transfer: each hop is a (debit, credit) pair between two

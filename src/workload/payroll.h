@@ -25,7 +25,7 @@ struct PayrollConfig {
   double dept_report_fraction = 0.15;
   double global_report_fraction = 0.05;
   double zipf_theta = 0.0;
-  Value update_epsilon = 10000;  ///< Limit_t of raises (export)
+  Value update_epsilon = 10000;  ///< Limit_t of raises
   Value query_epsilon = 20000;   ///< Limit_t of reports (import)
 };
 

@@ -423,9 +423,9 @@ TEST(Chaos, FaultDecisionsKeyOnIdentityNotGlobalOrder) {
 }
 
 // Crash-restart recovery of epsilon budgets (DC state): replayed committed
-// state never under-counts what updates exported.  An uncommitted export
-// dies with the crash (its drift was never committed state); a committed
-// export survives replay exactly.
+// state never under-counts what queries imported.  An uncommitted update
+// dies with the crash (its drift was never committed state, and no query
+// could see it); a committed update survives replay exactly.
 TEST(Chaos, EpsilonStateSurvivesCrashRestartWithoutUndercount) {
   LogDevice wal;
   Tracer tracer(1 << 16);
@@ -437,12 +437,13 @@ TEST(Chaos, EpsilonStateSurvivesCrashRestartWithoutUndercount) {
   db.load(1, 100);
   db.checkpoint();
 
-  // An update stages +50 while a bounded query reads through it (fuzzy
-  // grant imports the drift), then the site crashes before the update
-  // commits: replay must yield the PRE-update value -- resurrecting the
-  // lost write would mean the query's import charge under-counted reality.
+  // An update stages +50 while a bounded query reads the key (uncommitted
+  // state is invisible, so it imports nothing), then the site crashes
+  // before the update commits: replay must yield the PRE-update value --
+  // resurrecting the lost write would mean the query's import charge
+  // under-counted reality.
   {
-    Txn u = db.begin(TxnKind::Update, EpsilonSpec::exporting(100));
+    Txn u = db.begin(TxnKind::Update, EpsilonSpec::serializable());
     ASSERT_TRUE(u.add(1, 50).ok());
     Txn q = db.begin(TxnKind::Query, EpsilonSpec::importing(100));
     ASSERT_TRUE(q.read(1).ok());
@@ -458,9 +459,9 @@ TEST(Chaos, EpsilonStateSurvivesCrashRestartWithoutUndercount) {
   }
 
   // Same dance, but the update commits before the crash: replay must carry
-  // the export's full effect.
+  // the update's full effect.
   {
-    Txn u = db.begin(TxnKind::Update, EpsilonSpec::exporting(100));
+    Txn u = db.begin(TxnKind::Update, EpsilonSpec::serializable());
     ASSERT_TRUE(u.add(1, 50).ok());
     Txn q = db.begin(TxnKind::Query, EpsilonSpec::importing(100));
     ASSERT_TRUE(q.read(1).ok());

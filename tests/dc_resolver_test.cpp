@@ -22,13 +22,13 @@ class DcResolverTest : public ::testing::Test {
   TxnId query(Value import_limit) {
     return reg_.begin(TxnKind::Query, EpsilonSpec::importing(import_limit));
   }
-  TxnId update(Value export_limit) {
-    return reg_.begin(TxnKind::Update, EpsilonSpec::exporting(export_limit));
+  TxnId update() {
+    return reg_.begin(TxnKind::Update, EpsilonSpec::serializable());
   }
 
   /// Commit `value` onto `key` through the store's transactional path.
   void commit_value(Key key, Value value) {
-    const TxnId u = update(0);
+    const TxnId u = update();
     ASSERT_TRUE(store_.write(u, key, value).ok());
     store_.commit_key(u, key);
     reg_.end_commit(u);
@@ -134,17 +134,16 @@ TEST_F(DcResolverTest, KeyBornAfterSnapshotAbortsAsSnapshotTooOld) {
 
 TEST_F(DcResolverTest, FreshReadChargesOnlyTheQuerysImport) {
   // The only charge divergence control makes is a query pricing its own
-  // fresh read: no export counterpart, nothing billed to a live update.
+  // fresh read: nothing is billed to a live update.
   store_.load(1, 100);
   const std::uint64_t snap = store_.snapshot_acquire();
   const TxnId q = query(1000);
-  const TxnId u = update(1000);
+  const TxnId u = update();
   commit_value(1, 130);
   std::unordered_map<Key, Value> charged;
   ASSERT_TRUE(resolver_.read_fresh(q, 1, snap, charged).ok());
   const EtRegistry::ChargeStats cs = reg_.charge_stats();
   EXPECT_EQ(cs.import_charged, 30);
-  EXPECT_EQ(cs.export_charged, 0);
   EXPECT_EQ(reg_.fuzziness_of(q), 30);
   EXPECT_EQ(reg_.fuzziness_of(u), 0);
   reg_.end_commit(u);
@@ -154,7 +153,7 @@ TEST_F(DcResolverTest, FreshReadChargesOnlyTheQuerysImport) {
 TEST_F(DcResolverTest, UncommittedWritesAreInvisibleToQueries) {
   store_.load(1, 100);
   const std::uint64_t snap = store_.snapshot_acquire();
-  const TxnId u = update(1000);
+  const TxnId u = update();
   ASSERT_TRUE(store_.write(u, 1, 900).ok());  // staged, not committed
   const TxnId q = query(1000);
   std::unordered_map<Key, Value> charged;

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "dist/coordinator.h"
 #include "dist/site.h"
+#include "wal/log.h"
 
 namespace atp {
 namespace {
@@ -23,7 +25,13 @@ class DistTest : public ::testing::Test {
  protected:
   void SetUp() override { start(std::chrono::microseconds(500)); }
 
-  void start(std::chrono::microseconds one_way) {
+  /// (Re)build the two-site rig.  `la_wal` gives LA a write-ahead log, so
+  /// its commits wait for an fsync.
+  void start(std::chrono::microseconds one_way, LogDevice* la_wal = nullptr) {
+    // The old sites reference the old network: retire them first.
+    TearDown();
+    ny_.reset();
+    la_.reset();
     NetworkOptions n;
     n.one_way_latency = one_way;
     net_ = std::make_unique<SimNetwork>(2, n);
@@ -31,6 +39,7 @@ class DistTest : public ::testing::Test {
     dbo.scheduler = SchedulerKind::DC;
     dbo.lock_timeout = std::chrono::milliseconds(1000);
     ny_ = std::make_unique<Site>(0, *net_, dbo);
+    dbo.wal = la_wal;
     la_ = std::make_unique<Site>(1, *net_, dbo);
     ny_->db().load(kX, 1000);
     la_->db().load(kY, 1000);
@@ -56,6 +65,34 @@ class DistTest : public ::testing::Test {
     return spec;
   }
 
+  /// The import limit the remote (LA) piece of a two-piece query chain runs
+  /// with, at 50 per piece.  LA's 200 ms fsync keeps the piece's ET live in
+  /// LA's registry while it commits; the limit is read off that entry (the
+  /// handler begins it unlimited, then applies the shipped budget).
+  Value remote_query_budget(bool dynamic) {
+    la_wal_.set_fsync_latency(std::chrono::milliseconds(200));
+    start(std::chrono::microseconds(500), &la_wal_);
+    DistTxnSpec query;
+    query.kind = TxnKind::Query;
+    query.piece_epsilon = 50;
+    query.dynamic_epsilon = dynamic;
+    query.pieces = {DistPieceSpec{0, {Access::read(kX)}},
+                    DistPieceSpec{1, {Access::read(kY)}}};
+    auto out = Coordinator(*ny_, sites_).run_chopped(query, 1ms);
+    Value budget = std::nan("");
+    for (int i = 0; out.ok() && std::isnan(budget) && i < 5000; ++i) {
+      for (const EtRegistry::Entry& e : la_->db().registry().snapshot_all()) {
+        if (e.kind == TxnKind::Query && !std::isinf(e.spec.import_limit)) {
+          budget = e.spec.import_limit;
+        }
+      }
+      std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_TRUE(out.ok() && ny_->wait_done(out.value().gtid, 5000ms));
+    return budget;
+  }
+
+  LogDevice la_wal_;  // declared first: outlives the sites that log to it
   std::unique_ptr<SimNetwork> net_;
   std::unique_ptr<Site> ny_, la_;
   std::vector<Site*> sites_;
@@ -229,27 +266,16 @@ TEST_F(DistTest, ConcurrentChoppedTransfersAllComplete) {
 }
 
 TEST_F(DistTest, DynamicEpsilonFlowsLeftoverDownTheChain) {
-  // Distributed dynamic distribution: with the whole budget on piece 1 and
-  // the leftover shipped in the continuation, a query whose first piece
-  // consumed little lets the remote piece absorb a conflict that the static
-  // pre-division would refuse.
-  Coordinator coord(*ny_, sites_);
+  // Distributed dynamic distribution (Figure 2 over the wire): piece 1 runs
+  // with the whole budget 2 x 50 and the continuation ships its leftover
+  // 100 - Z_1 to the remote piece.  Nothing moves at NY, so Z_1 = 0.
+  EXPECT_EQ(remote_query_budget(/*dynamic=*/true), 100);
+}
 
-  // A standing uncommitted transfer leg at LA creates 80 of pending delta.
-  Txn dirty = la_->db().begin(TxnKind::Update, EpsilonSpec::exporting(1000));
-  ASSERT_TRUE(dirty.write(kY, 1080).ok());
-
-  DistTxnSpec query;
-  query.kind = TxnKind::Query;
-  query.piece_epsilon = 50;  // static: each piece gets 50 < 80 -> piece 2
-                             // would block on the fuzzy read
-  query.dynamic_epsilon = true;  // dynamic: piece 1 uses ~0, ships ~100
-  query.pieces = {DistPieceSpec{0, {Access::read(kX)}},
-                  DistPieceSpec{1, {Access::read(kY)}}};
-  auto out = coord.run_chopped(query, 5000ms);
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out.value().completed);  // the 80 fit within the shipped ~100
-  dirty.abort();
+TEST_F(DistTest, StaticEpsilonGivesEachPieceItsShare) {
+  // Static pre-division: the remote piece runs with its 50 share whatever
+  // piece 1 left over.
+  EXPECT_EQ(remote_query_budget(/*dynamic=*/false), 50);
 }
 
 TEST_F(DistTest, ChoppedSurvivesLinkFailure) {

@@ -104,9 +104,7 @@ TEST(Registry, ConcurrentHammerMonotoneCountersNoTornBudgets) {
     for (const EtRegistry::Entry& e : ets.snapshot_all()) {
       const std::string p = "et." + std::to_string(e.id) + ".";
       b.gauge(p + "imported", double(e.imported));
-      b.gauge(p + "exported", double(e.exported));
       b.gauge(p + "import_limit", double(e.spec.import_limit));
-      b.gauge(p + "export_limit", double(e.spec.export_limit));
     }
   });
 
@@ -260,7 +258,7 @@ TEST(DatabaseObs, PublishesEpsAndLockSamples) {
   // An update committing past a live query's snapshot: the query's fresh
   // read charges import fuzziness from the version distance.
   Txn q = db.begin(TxnKind::Query, EpsilonSpec::importing(1000));
-  Txn u = db.begin(TxnKind::Update, EpsilonSpec::exporting(1000));
+  Txn u = db.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(u.write(1, 140).ok());
   ASSERT_TRUE(u.commit().ok());
   ASSERT_TRUE(q.read(1).ok());
@@ -295,7 +293,7 @@ TEST(TopRender, ShowsUtilizationAndHeatmap) {
   Database db(o);
   db.load(1, 100);
   Txn q = db.begin(TxnKind::Query, EpsilonSpec::importing(100));
-  Txn u = db.begin(TxnKind::Update, EpsilonSpec::exporting(100));
+  Txn u = db.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(u.write(1, 150).ok());
   ASSERT_TRUE(u.commit().ok());
   ASSERT_TRUE(q.read(1).ok());  // 50 past the snapshot: imports 50 of 100

@@ -4,7 +4,8 @@
 //   * finest-chopping searches always return validating choppings, and
 //     coarsening a valid chopping never invalidates it;
 //   * the engine invariants (money conservation, epsilon bounds, no budget
-//     violations) under randomized workloads across methods and seeds.
+//     violations, no update ET ever charged) under randomized workloads
+//     across methods and seeds.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -218,7 +219,10 @@ TEST_P(EngineInvariantTest, ConservationEpsilonAndTermination) {
 
   auto plan = ExecutionPlan::build(w.types, method);
   ASSERT_TRUE(plan.ok()) << plan.status().to_string();
-  Database db(Executor::database_options(method));
+  Tracer tracer;
+  DatabaseOptions dbo = Executor::database_options(method);
+  dbo.tracer = &tracer;
+  Database db(dbo);
   w.load_into(db);
   ExecutorOptions opts;
   opts.workers = 4;
@@ -236,6 +240,24 @@ TEST_P(EngineInvariantTest, ConservationEpsilonAndTermination) {
   Value sum = 0;
   for (const auto& [k, v] : db.store().snapshot_committed()) sum += v;
   EXPECT_EQ(sum, w.total_money);
+
+  // No update ET is ever charged: divergence control is import-only, so
+  // every FuzzImport names a query ET and every update commits with Z = 0.
+  ASSERT_EQ(tracer.dropped(), 0u);
+  std::set<TxnId> updates, queries;
+  int imports = 0;
+  for (const TraceEvent& e : tracer.collect()) {
+    if (e.kind == TraceKind::TxnBegin) {
+      (e.aux == 1 ? updates : queries).insert(e.txn);
+    } else if (e.kind == TraceKind::FuzzImport) {
+      ++imports;
+      EXPECT_TRUE(queries.count(e.txn)) << "import charged to ET " << e.txn;
+    } else if (e.kind == TraceKind::TxnCommit && updates.count(e.txn)) {
+      EXPECT_EQ(e.a, 0) << "update ET " << e.txn << " committed with Z > 0";
+    }
+  }
+  EXPECT_FALSE(updates.empty());
+  RecordProperty("fuzz_imports", imports);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -30,7 +30,6 @@ WireMessage full_message(MsgKind k) {
   m.op = 3;
   m.key = 0xfeedface;
   m.value = -1234.5625;
-  m.value2 = 9.75e100;
   m.text = "class-or-error \"text\" with bytes \x01\x7f";
   return m;
 }
@@ -62,13 +61,11 @@ TEST(Protocol, DoubleBitPatternsSurvive) {
                          std::numeric_limits<double>::infinity()}) {
     WireMessage in;
     in.value = v;
-    in.value2 = -v;
     WireMessage out;
     std::size_t consumed = 0;
     ASSERT_EQ(decode_frame(encode_frame(in), &out, &consumed),
               DecodeStatus::kOk);
     EXPECT_EQ(std::memcmp(&in.value, &out.value, sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(&in.value2, &out.value2, sizeof(double)), 0);
   }
 }
 
@@ -97,6 +94,21 @@ TEST(Protocol, RejectsOversizedLength) {
 TEST(Protocol, RejectsBadVersion) {
   std::string bytes = encode_frame(WireMessage{});
   bytes[4] = char(kProtocolVersion + 1);
+  WireMessage out;
+  std::size_t consumed = 0;
+  EXPECT_EQ(decode_frame(bytes, &out, &consumed), DecodeStatus::kBad);
+}
+
+TEST(Protocol, RejectsVersionOneFrame) {
+  // Version 2 dropped version 1's f64 export limit: the fixed record is 35
+  // bytes, and a version-1 frame (43-byte record) is refused, not misread.
+  EXPECT_EQ(encode_frame(WireMessage{}).size(), 4u + 2 + 35);
+  const std::uint32_t len = 2 + 43;
+  std::string bytes(4, '\0');
+  std::memcpy(bytes.data(), &len, sizeof len);
+  bytes.push_back(char(1));
+  bytes.push_back(char(MsgKind::kBegin));
+  bytes.append(43, '\0');
   WireMessage out;
   std::size_t consumed = 0;
   EXPECT_EQ(decode_frame(bytes, &out, &consumed), DecodeStatus::kBad);

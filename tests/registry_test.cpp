@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -11,25 +12,20 @@ namespace atp {
 namespace {
 
 TEST(EpsilonSpec, Factories) {
-  EXPECT_EQ(EpsilonSpec::serializable(), (EpsilonSpec{0, 0}));
-  EXPECT_EQ(EpsilonSpec::symmetric(5), (EpsilonSpec{5, 5}));
+  EXPECT_EQ(EpsilonSpec::serializable(), (EpsilonSpec{0}));
   EXPECT_EQ(EpsilonSpec::importing(7).import_limit, 7);
-  EXPECT_EQ(EpsilonSpec::importing(7).export_limit, 0);
-  EXPECT_EQ(EpsilonSpec::exporting(9).export_limit, 9);
   EXPECT_EQ(EpsilonSpec::unlimited().import_limit, kInfiniteLimit);
 }
 
 TEST(EpsilonSpec, SpecForMapsKindToSide) {
-  EXPECT_EQ(spec_for(TxnKind::Query, 10).import_limit, 10);
-  EXPECT_EQ(spec_for(TxnKind::Query, 10).export_limit, 0);
-  EXPECT_EQ(spec_for(TxnKind::Update, 10).export_limit, 10);
-  EXPECT_EQ(spec_for(TxnKind::Update, 10).import_limit, 0);
+  EXPECT_EQ(spec_for(TxnKind::Query, 10), EpsilonSpec::importing(10));
+  EXPECT_EQ(spec_for(TxnKind::Update, 10), EpsilonSpec::serializable());
 }
 
 TEST(EtRegistry, BeginAssignsDistinctIds) {
   EtRegistry reg;
   const TxnId a = reg.begin(TxnKind::Query, EpsilonSpec::importing(10));
-  const TxnId b = reg.begin(TxnKind::Update, EpsilonSpec::exporting(10));
+  const TxnId b = reg.begin(TxnKind::Update, EpsilonSpec::serializable());
   EXPECT_NE(a, b);
   EXPECT_EQ(reg.get(a)->kind, TxnKind::Query);
   EXPECT_EQ(reg.get(b)->kind, TxnKind::Update);
@@ -108,7 +104,7 @@ TEST(EtRegistry, AbortDropsFuzzinessWithoutRollup) {
   const TxnId parent = reg.allocate_id();
   const TxnId p1 =
       reg.begin(TxnKind::Query, EpsilonSpec::importing(10), parent);
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(100));
+  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(reg.try_self_import(p1, 3));
   reg.end_abort(p1);  // "the piece rolls back and resets Z to zero"
   EXPECT_EQ(reg.parent_fuzziness(parent), 0);
@@ -132,17 +128,25 @@ TEST(EtRegistry, RetirementRollsUpAcrossShards) {
     queries.push_back(reg.begin(TxnKind::Query, EpsilonSpec::importing(10)));
   }
   const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::unlimited());
+  const TxnId u2 = reg.begin(TxnKind::Update, spec_for(TxnKind::Update, 50));
   for (TxnId q : queries) {
     ASSERT_TRUE(reg.try_self_import(q, 2));
+    EXPECT_FALSE(reg.try_self_import(q, 9));  // 2 + 9 > 10
     (void)reg.end_commit(q);
   }
-  (void)reg.end_commit(u);
+  EXPECT_EQ(reg.end_commit(u), 0);
+  EXPECT_EQ(reg.end_commit(u2), 0);
   const EtRegistry::ChargeStats cs = reg.charge_stats();
   EXPECT_EQ(cs.retired_query_count, 40u);
   EXPECT_EQ(cs.retired_query_used, 80);
   EXPECT_EQ(cs.retired_query_limit, 400);
-  EXPECT_EQ(cs.retired_update_count, 1u);
-  EXPECT_EQ(cs.retired_update_unlimited, 1u);
+  EXPECT_EQ(cs.retired_update_count, 2u);
+  EXPECT_EQ(cs.rejected_import, 40u);
+  // The pinned update-side fields: nothing writes them.
+  EXPECT_EQ((std::array{double(cs.rejected_export),
+                        double(cs.rejected_admission), cs.retired_update_used,
+                        cs.retired_update_limit}),
+            (std::array{0.0, 0.0, 0.0, 0.0}));
   EXPECT_EQ(reg.live_count(), 0u);
 }
 
@@ -151,7 +155,7 @@ TEST(EtRegistry, SnapshotAllReportsEveryLiveEt) {
   const TxnId parent = reg.allocate_id();
   const TxnId q =
       reg.begin(TxnKind::Query, EpsilonSpec::importing(10), parent);
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(20));
+  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(reg.try_self_import(q, 4));
 
   const std::vector<EtRegistry::Entry> all = reg.snapshot_all();
@@ -170,17 +174,16 @@ TEST(EtRegistry, SnapshotAllReportsEveryLiveEt) {
   EXPECT_EQ(qe->parent, parent);
   EXPECT_EQ(qe->spec.import_limit, 10);
   EXPECT_EQ(qe->imported, 4);
-  EXPECT_EQ(qe->exported, 0);
   EXPECT_EQ(ue->kind, TxnKind::Update);
   EXPECT_EQ(ue->parent, kInvalidTxn);
-  EXPECT_EQ(ue->spec.export_limit, 20);
-  EXPECT_EQ(ue->exported, 0);
+  EXPECT_EQ(ue->spec, EpsilonSpec::serializable());
+  EXPECT_EQ(ue->imported, 0);
 }
 
 TEST(EtRegistry, SnapshotAllExcludesEndedEts) {
   EtRegistry reg;
   const TxnId q = reg.begin(TxnKind::Query, EpsilonSpec::importing(10));
-  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::exporting(10));
+  const TxnId u = reg.begin(TxnKind::Update, EpsilonSpec::serializable());
   (void)reg.end_commit(q);
   reg.end_abort(u);
   EXPECT_TRUE(reg.snapshot_all().empty());

@@ -28,7 +28,7 @@ DatabaseOptions dc_options(std::chrono::milliseconds timeout = 500ms) {
 TEST(DcTxn, QueryNeverBlocksOrSeesUncommittedWrites) {
   Database db(dc_options());
   db.load(1, 100);
-  Txn u = db.begin(TxnKind::Update, EpsilonSpec::exporting(100));
+  Txn u = db.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(u.write(1, 150).ok());  // X lock + dirty value staged
 
   Txn q = db.begin(TxnKind::Query, EpsilonSpec::importing(100));
@@ -80,7 +80,7 @@ TEST(DcTxn, UpdateNeverBlocksOnConcurrentQuery) {
   Txn q = db.begin(TxnKind::Query, EpsilonSpec::importing(100));
   ASSERT_TRUE(q.read(1).ok());  // snapshot read: no S lock taken
 
-  Txn u = db.begin(TxnKind::Update, EpsilonSpec::exporting(100));
+  Txn u = db.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(u.add(1, 30).ok());  // would block under CC behind q's S lock
   ASSERT_TRUE(u.commit().ok());
   // The query pays for freshness only if it looks again.
@@ -97,9 +97,9 @@ TEST(DcTxn, ExhaustedQueryDegradesWhileUpdatesProceed) {
   Txn q = db.begin(TxnKind::Query, EpsilonSpec::importing(5));
   ASSERT_TRUE(q.read(1).ok());
 
-  // Old DC blocked this update (export > q's remaining import).  Now the
-  // update is never taxed for concurrent queries and commits immediately.
-  Txn u = db.begin(TxnKind::Update, EpsilonSpec::exporting(1000));
+  // The update has no eps budget and is never taxed for concurrent
+  // queries: it commits immediately.
+  Txn u = db.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(u.add(1, 30).ok());
   ASSERT_TRUE(u.commit().ok());
 
@@ -190,9 +190,9 @@ TEST(DcTxn, ConcurrentQueriesChargeIndependentBudgets) {
   Txn q1 = db.begin(TxnKind::Query, EpsilonSpec::importing(100));
   Txn q2 = db.begin(TxnKind::Query, EpsilonSpec::importing(5));
   {
-    Txn u = db.begin(TxnKind::Update, EpsilonSpec::exporting(50));
+    Txn u = db.begin(TxnKind::Update, EpsilonSpec::serializable());
     ASSERT_TRUE(u.add(1, 20).ok());
-    ASSERT_TRUE(u.commit().ok());  // no export tax, no blocking
+    ASSERT_TRUE(u.commit().ok());  // never charged, never blocked
   }
   // Each query pays from its own account: q1 affords freshness, q2 does not.
   EXPECT_EQ(q1.read(1).value(), 120);
@@ -208,7 +208,7 @@ TEST(DcTxn, AbortedQueryFuzzinessResets) {
   db.load(1, 100);
   {
     Txn q = db.begin(TxnKind::Query, EpsilonSpec::importing(100));
-    Txn u = db.begin(TxnKind::Update, EpsilonSpec::exporting(1000));
+    Txn u = db.begin(TxnKind::Update, EpsilonSpec::serializable());
     ASSERT_TRUE(u.write(1, 150).ok());
     ASSERT_TRUE(u.commit().ok());
     ASSERT_TRUE(q.read(1).ok());
@@ -256,7 +256,7 @@ TEST(DcTxn, CrashRestartNeverUnderCountsBudgets) {
   db.load(1, 100);
   db.checkpoint();
 
-  Txn u = db.begin(TxnKind::Update, EpsilonSpec::exporting(60));
+  Txn u = db.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(u.add(1, 50).ok());
   Txn q = db.begin(TxnKind::Query, EpsilonSpec::importing(60));
   ASSERT_TRUE(q.read(1).ok());  // committed state: the staged 50 is invisible
@@ -271,7 +271,7 @@ TEST(DcTxn, CrashRestartNeverUnderCountsBudgets) {
   EXPECT_EQ(db.store().read_committed(1).value(), 100);
 
   // The ledger is clean: a full-budget import succeeds afresh.
-  Txn u2 = db.begin(TxnKind::Update, EpsilonSpec::exporting(60));
+  Txn u2 = db.begin(TxnKind::Update, EpsilonSpec::serializable());
   ASSERT_TRUE(u2.add(1, 50).ok());
   Txn q2 = db.begin(TxnKind::Query, EpsilonSpec::importing(60));
   ASSERT_TRUE(u2.commit().ok());
@@ -294,7 +294,7 @@ TEST(DcGuarantee, AuditErrorBoundedByImportLimit) {
     writers.emplace_back([&, w] {
       Rng rng(77 + w);
       while (!stop.load(std::memory_order_relaxed)) {
-        Txn t = db.begin(TxnKind::Update, EpsilonSpec::exporting(100));
+        Txn t = db.begin(TxnKind::Update, EpsilonSpec::serializable());
         const Key a = rng.uniform(kAccounts);
         Key b = rng.uniform(kAccounts);
         while (b == a) b = rng.uniform(kAccounts);

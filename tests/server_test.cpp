@@ -107,13 +107,18 @@ TEST(Server, ClassesMapToDistinctEpsilonSpecs) {
   ASSERT_TRUE(zero.ok());
   ASSERT_TRUE(gold.abort(zero.value()).ok());
 
-  // Silver's grant is metered against the class's concurrent budget.
+  // Silver's query grant is metered against the class's concurrent budget;
+  // an update has no eps budget and costs the class nothing.
   Client silver = sim_client(net, 3);
   ASSERT_TRUE(silver.hello("silver").ok());
-  auto u = silver.begin(TxnKind::Update, -1, /*export_limit=*/100);
+  auto sq = silver.begin(TxnKind::Query, /*import_limit=*/100);
+  ASSERT_TRUE(sq.ok());
+  EXPECT_EQ(srv.admission().outstanding("silver"), 100);
+  auto u = silver.begin(TxnKind::Update);
   ASSERT_TRUE(u.ok());
   EXPECT_EQ(srv.admission().outstanding("silver"), 100);
   ASSERT_TRUE(silver.commit(u.value()).ok());
+  ASSERT_TRUE(silver.commit(sq.value()).ok());
   EXPECT_EQ(srv.admission().outstanding("silver"), 0);
 
   // Unknown classes are turned away at the handshake.
@@ -131,7 +136,9 @@ TEST(Server, MidTransactionDisconnectAbortsAndReleasesEverything) {
   {
     Client doomed = sim_client(net, 1);
     ASSERT_TRUE(doomed.hello("silver").ok());
-    auto t = doomed.begin(TxnKind::Update, -1, /*export_limit=*/250);
+    auto q = doomed.begin(TxnKind::Query, /*import_limit=*/250);
+    ASSERT_TRUE(q.ok());
+    auto t = doomed.begin(TxnKind::Update);
     ASSERT_TRUE(t.ok());
     ASSERT_TRUE(doomed.add(t.value(), 7, -10).ok());  // holds an X lock
     EXPECT_EQ(srv.admission().outstanding("silver"), 250);
@@ -163,41 +170,59 @@ TEST(Server, LowBudgetClassRejectedWhileHighBudgetProceeds) {
   Database db(DatabaseOptions{});
   ServerOptions so;
   so.classes = {
-      {"tight", 100, 100, /*concurrent_budget=*/100, 8},
-      {"rich", 100, 100, kInfiniteLimit, 8},
+      {"tight", 100, /*concurrent_budget=*/100, 8},
+      {"rich", 100, kInfiniteLimit, 8},
   };
   AtpServer srv(db, std::make_unique<SimTransport>(net, kServerSite),
                 std::move(so));
 
   Client a = sim_client(net, 1);
   ASSERT_TRUE(a.hello("tight").ok());
-  auto first = a.begin(TxnKind::Update, -1, 100);  // consumes the budget
+  auto first = a.begin(TxnKind::Query, 100);  // consumes the budget
   ASSERT_TRUE(first.ok());
 
   Client b = sim_client(net, 2);
   ASSERT_TRUE(b.hello("tight").ok());
-  auto second = b.begin(TxnKind::Update, -1, 100);
+  auto second = b.begin(TxnKind::Query, 100);
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), ErrorCode::kUnavailable);
 
   Client c = sim_client(net, 3);
   ASSERT_TRUE(c.hello("rich").ok());
-  auto rich = c.begin(TxnKind::Update, -1, 100);  // unmetered class
+  auto rich = c.begin(TxnKind::Query, 100);  // unmetered class
   ASSERT_TRUE(rich.ok());
   ASSERT_TRUE(c.abort(rich.value()).ok());
 
   ASSERT_TRUE(a.abort(first.value()).ok());  // budget returns
-  auto retry = b.begin(TxnKind::Update, -1, 100);
+  auto retry = b.begin(TxnKind::Query, 100);
   ASSERT_TRUE(retry.ok());
   ASSERT_TRUE(b.abort(retry.value()).ok());
   srv.stop();
+}
+
+TEST(ClassSpec, EachFieldLandsInItsMember) {
+  // name:limit[:budget[:window]] -- the limit is the query import ceiling.
+  ClassPolicy p;
+  ASSERT_TRUE(parse_class_policy("vip:50:200:64", &p));
+  EXPECT_EQ(p.name, "vip");
+  EXPECT_EQ(p.import_ceiling, 50);
+  EXPECT_EQ(p.concurrent_budget, 200);
+  EXPECT_EQ(p.window, 64u);
+  ClassPolicy open;  // omitted fields keep their defaults
+  ASSERT_TRUE(parse_class_policy("open:inf", &open));
+  EXPECT_EQ(open.import_ceiling, kInfiniteLimit);
+  EXPECT_EQ(open.concurrent_budget, ClassPolicy{}.concurrent_budget);
+  EXPECT_EQ(open.window, ClassPolicy{}.window);
+  // The retired name:import:export:budget:window form is refused.
+  EXPECT_FALSE(parse_class_policy("reporting:2000:2000:16000:8", &p));
+  EXPECT_FALSE(parse_class_policy("reporting", &p));
 }
 
 TEST(Server, SessionWindowBackpressureAnswersImmediately) {
   // Unit-level: drive a Session directly so the window arithmetic is
   // deterministic (no worker racing the feed).
   Database db(DatabaseOptions{});
-  AdmissionController ac({{"w", 100, 100, kInfiniteLimit, /*window=*/2}});
+  AdmissionController ac({{"w", 100, kInfiniteLimit, /*window=*/2}});
   obs::MetricsRegistry reg;
   ServerCounters counters;
   counters.window_rejects = &reg.counter("srv.window_rejects");

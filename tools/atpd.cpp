@@ -7,15 +7,16 @@
 //
 //   atpd --port 7411                          # DC scheduler, stock classes
 //   atpd --port 0 --scheduler cc              # kernel-assigned port
-//   atpd --class vip:50:50:200:64             # add/override a class
+//   atpd --class vip:50:200:64                # add/override a class
 //   atpd --metrics-port 9464 --keys 1000      # observable, preloaded
 //   atpd --certify --metrics-port 9464        # live SR/ESR certification
 //   atpd --slow-ms 50                         # log requests over 50ms
 //
-// Classes are name:import:export[:budget[:window]] ("inf" allowed); the
-// defaults are gold (eps 0), silver (metered), bronze (wide open).  Runs
-// until SIGINT/SIGTERM.  With --certify the exit code is 3 when the online
-// certifier saw a violation.
+// Classes are name:limit[:budget[:window]] ("inf" allowed), where limit is
+// the largest import limit a query may ask for (updates carry no eps
+// budget); the defaults are gold (eps 0), silver (metered), bronze (wide
+// open).  Runs until SIGINT/SIGTERM.  With --certify the exit code is 3
+// when the online certifier saw a violation.
 #include <charconv>
 #include <csignal>
 #include <cstdio>
@@ -54,7 +55,7 @@ struct Args {
 
 void usage() {
   std::cerr << "usage: atpd [--port N] [--scheduler cc|dc] [--workers N]\n"
-               "            [--class name:import:export[:budget[:window]]]...\n"
+               "            [--class name:limit[:budget[:window]]]...\n"
                "            [--metrics-port N] [--keys N] [--max-sessions N]\n"
                "            [--certify] [--slow-ms N]\n";
 }
@@ -188,9 +189,9 @@ int main(int argc, char** argv) {
             << atp::to_string(args.scheduler) << " scheduler, "
             << args.workers << " workers)\n";
   for (const auto& c : server.admission().classes()) {
-    std::cout << "atpd: class " << c.name << " import<=" << c.import_ceiling
-              << " export<=" << c.export_ceiling << " budget="
-              << c.concurrent_budget << " window=" << c.window << "\n";
+    std::cout << "atpd: class " << c.name << " limit<=" << c.import_ceiling
+              << " budget=" << c.concurrent_budget << " window=" << c.window
+              << "\n";
   }
   if (args.metrics_port != 0) {
     std::cout << "atpd: metrics on 127.0.0.1:" << args.metrics_port

@@ -2,8 +2,9 @@
 // costs underlie the system-level numbers -- lock acquisition and release,
 // the store's update read-modify-write and publication, the ET registry
 // round trip, a WAL-backed sync commit, a chopped transfer
-// over the WAL, trace recording and online-certifier ingest, chopping-graph
-// analysis, and the finest-chopping searches.
+// over the WAL, trace recording and online-certifier ingest, the wire
+// protocol's frame codec and one server round trip over loopback TCP,
+// chopping-graph analysis, and the finest-chopping searches.
 //
 // The obs group doubles as the instrumentation-overhead experiment: build
 // once with -DATP_OBS=ON and once with OFF and compare
@@ -26,6 +27,9 @@
 #include "lock/lock_manager.h"
 #include "obs/metrics_registry.h"
 #include "sched/database.h"
+#include "server/client.h"
+#include "server/protocol.h"
+#include "server/server.h"
 #include "storage/store.h"
 #include "trace/tracer.h"
 #include "txn/registry.h"
@@ -287,6 +291,59 @@ void BM_OnlineCertifierIngest(benchmark::State& state) {
                   benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_OnlineCertifierIngest)->ArgName("sr")->Arg(0)->Arg(1);
+
+void BM_ProtocolEncodeDecode(benchmark::State& state) {
+  // One wire frame out and back: encode an add request into a reused
+  // buffer, then decode it, as the client and the session each do once per
+  // request.
+  server::WireMessage req;
+  req.kind = server::MsgKind::kOp;
+  req.txn = 7;
+  req.op = std::uint8_t(server::OpCode::kAdd);
+  req.key = 1234;
+  req.value = -5;
+  std::string buf;
+  server::WireMessage out;
+  for (auto _ : state) {
+    ++req.seq;
+    buf.clear();
+    server::encode_frame(req, &buf);
+    std::size_t consumed = 0;
+    benchmark::DoNotOptimize(server::decode_frame(buf, &out, &consumed));
+    benchmark::DoNotOptimize(out.seq);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProtocolEncodeDecode);
+
+void BM_ServerPingRoundTrip(benchmark::State& state) {
+  // One kPing from a blocking TCP client on loopback to an in-process
+  // AtpServer with 2 executing threads (wire_oltp's setting) and back:
+  // the server's per-request plumbing -- poll, frame decode, dispatch,
+  // reply -- with no engine work.  Wall time, since the client mostly
+  // waits.
+  Database db(DatabaseOptions{});
+  server::ServerOptions so;
+  so.workers = 2;
+  server::AtpServer srv(db, std::make_unique<server::TcpTransport>(0),
+                        std::move(so));
+  server::Client client(
+      std::make_unique<server::TcpByteChannel>("127.0.0.1", srv.port()));
+  if (!srv.ok() || !client.hello("gold").ok()) {
+    state.SkipWithError("server did not come up");
+    return;
+  }
+  for (auto _ : state) {
+    if (!client.ping().ok()) {
+      state.SkipWithError("ping failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  client.close();
+  srv.stop();
+}
+BENCHMARK(BM_ServerPingRoundTrip)->UseRealTime();
 
 void BM_TxnCommitCycle(benchmark::State& state) {
   Database db(DatabaseOptions{});

@@ -193,7 +193,15 @@ void Database::crash(const std::unordered_set<TxnId>* survivors) {
     crash_survivors_.clear();
     if (survivors != nullptr) crash_survivors_ = *survivors;
   }
-  crash_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  // Dekker-style with Txn::commit: the bump and the gate loads here, the
+  // gate increment and the epoch load there, are all seq_cst, so either the
+  // commit sees this crash or this crash sees the commit in flight.
+  crash_epoch_.fetch_add(1, std::memory_order_seq_cst);
+  for (const CommitGate& g : committing_) {
+    while (g.in_flight.load(std::memory_order_seq_cst) != 0) {
+      std::this_thread::yield();
+    }
+  }
   store_.crash(survivors);
 }
 
@@ -424,11 +432,29 @@ Status Txn::add(Key key, Value delta) {
 Status Txn::commit() {
   if (state_ != State::Active)
     return Status::FailedPrecondition("commit on inactive txn");
+  // From the epoch check through the commit hooks this commit is in flight:
+  // a concurrent crash waits for it (Database::crash).  Otherwise a crash
+  // between publish and hooks would return this transaction's queue claim
+  // to the queue after its effects had committed, and the message would be
+  // consumed -- and its piece applied -- twice.
+  // Gates go to threads round-robin, so each committing thread keeps its
+  // own cache line and only a crash reads the others.
+  static std::atomic<std::size_t> next_gate{0};
+  // relaxed-ok: any spread of threads over the gates will do
+  thread_local const std::size_t my_gate =
+      next_gate.fetch_add(1, std::memory_order_relaxed) %
+      Database::kCommitGates;
+  std::atomic<std::uint32_t>& gate = db_->committing_[my_gate].in_flight;
+  gate.fetch_add(1, std::memory_order_seq_cst);
+  struct Leave {
+    std::atomic<std::uint32_t>& gate;
+    ~Leave() { gate.fetch_sub(1, std::memory_order_release); }
+  } leave{gate};
   // Crash-epoch guard: if the site crashed since begin, our staged writes
   // are gone -- committing now would apply nothing while still firing the
   // commit hooks (forwarding queue continuations for work that never
   // happened).  Prepared 2PC survivors are the one legitimate exception.
-  if (crash_epoch_ != db_->crash_epoch()) {
+  if (crash_epoch_ != db_->crash_epoch_.load(std::memory_order_seq_cst)) {
     bool survivor;
     {
       std::lock_guard lock(db_->crash_mu_);

@@ -284,7 +284,9 @@ class Database {
   /// lists transactions whose staged writes persist -- 2PC participants in
   /// the *prepared* state, which a real system has force-logged.  Bumps the
   /// crash epoch: a Txn begun before the crash can no longer commit (it
-  /// gets Status::Aborted) unless listed as a survivor.
+  /// gets Status::Aborted) unless listed as a survivor.  A commit already
+  /// past its epoch check completes, hooks included, before dirty data is
+  /// dropped.
   void crash(const std::unordered_set<TxnId>* survivors = nullptr);
 
   /// Current crash epoch (starts at 0, +1 per crash()).
@@ -329,6 +331,17 @@ class Database {
   // holds the prepared transactions of the LATEST crash only; earlier
   // epochs' survivors have long since resolved by the next crash.
   std::atomic<std::uint64_t> crash_epoch_{0};
+  /// Commits between their crash-epoch check and their commit hooks, in
+  /// one shard per committing thread (round-robin past 16), so committers
+  /// do not share a line.  crash() bumps
+  /// the epoch, then waits for every shard to drain: a commit either sees
+  /// the new epoch and aborts, or finishes publishing and running its
+  /// hooks (settling its queue claims) before the crash drops dirty state.
+  struct alignas(64) CommitGate {
+    std::atomic<std::uint32_t> in_flight{0};
+  };
+  static constexpr std::size_t kCommitGates = 16;
+  CommitGate committing_[kCommitGates];
   mutable OrderedMutex<LockRank::kDbCrash> crash_mu_;  ///< rank kDbCrash
   std::unordered_set<TxnId> crash_survivors_;
   /// Open continuations from the last recovery, until claimed.

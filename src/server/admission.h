@@ -24,9 +24,9 @@
 //   * a per-session in-flight window: how many parsed-but-unfinished
 //     requests one connection may pipeline (session.h enforces it).
 //
-// Thread safety: admit/release run from server worker threads; one mutex
-// serializes the budget ledger (admissions are orders of magnitude rarer
-// than ops, so this is nowhere near the hot path).
+// Thread safety: admit/release run on the server threads executing
+// requests; one mutex serializes the budget ledger (admissions are orders
+// of magnitude rarer than ops, so this is nowhere near the hot path).
 #pragma once
 
 #include <mutex>

@@ -32,11 +32,11 @@ AtpServer::AtpServer(Database& db, std::unique_ptr<Transport> transport,
     }
   }
   if (!transport_ || !transport_->ok()) return;
-  poll_thread_ = std::thread([this] { poll_loop(); });
-  const std::size_t n = std::max<std::size_t>(1, opts_.workers);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  max_executing_ = std::max<std::size_t>(1, opts_.workers);
+  // One thread more than can execute, so one is always free to poll.
+  threads_.reserve(max_executing_ + 1);
+  for (std::size_t i = 0; i <= max_executing_; ++i) {
+    threads_.emplace_back([this] { serve(); });
   }
 }
 
@@ -59,17 +59,17 @@ void AtpServer::stop() {
   // and then sees stopping_ already set.
   std::lock_guard stop_lock(stop_mu_);
   {
-    // Set the flag and notify under queue_mu_: a worker that has checked
-    // its wait predicate but not yet blocked holds queue_mu_, so it either
-    // sees stopping_ or is already waiting when notify_all runs.  Setting
-    // it outside the lock loses that wakeup and join() hangs.
+    // Set the flag and notify under queue_mu_: a thread that has checked
+    // stopping_ but not yet blocked holds queue_mu_, so it either sees the
+    // flag or is already waiting when notify_all runs.  Setting it outside
+    // the lock loses that wakeup and join() hangs.  The poller sees the
+    // flag within one poll_interval.
     std::lock_guard queue_lock(queue_mu_);
     if (stopping_.exchange(true)) return;
     queue_cv_.notify_all();
   }
-  if (poll_thread_.joinable()) poll_thread_.join();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
+  for (std::thread& t : threads_) {
+    if (t.joinable()) t.join();
   }
   // No threads left: close every session (aborts its live transactions and
   // returns its admission grants) before the database can go away.
@@ -77,14 +77,6 @@ void AtpServer::stop() {
   for (auto& [conn, s] : sessions_) s->close();
   sessions_.clear();
   if (sessions_active_ != nullptr) sessions_active_->set(0);
-}
-
-void AtpServer::schedule(std::shared_ptr<Session> s) {
-  {
-    std::lock_guard lock(queue_mu_);
-    ready_.push_back(std::move(s));
-  }
-  queue_cv_.notify_one();
 }
 
 void AtpServer::drop_session(ConnId conn) {
@@ -100,92 +92,155 @@ void AtpServer::drop_session(ConnId conn) {
     }
   }
   ServerCounters::bump(sessions_closed_);
-  // If a worker is mid-execute, close() defers transaction teardown to that
-  // worker's finish_one(); the shared_ptr it holds keeps the object alive.
+  // If a thread is mid-execute, close() defers transaction teardown to that
+  // thread's finish_one(); the shared_ptr it holds keeps the object alive.
   victim->close();
 }
 
-void AtpServer::poll_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const std::vector<TransportEvent> events =
-        transport_->poll(opts_.poll_interval);
-    for (const TransportEvent& ev : events) {
-      switch (ev.kind) {
-        case TransportEvent::Kind::kAccept: {
-          std::shared_ptr<Session> s;
-          {
-            std::lock_guard lock(sessions_mu_);
-            if (sessions_.size() < opts_.max_sessions) {
-              s = std::make_shared<Session>(ev.conn, db_, admission_,
-                                            counters_);
-              sessions_.emplace(ev.conn, s);
-              if (sessions_active_ != nullptr) {
-                sessions_active_->set(double(sessions_.size()));
-              }
-            }
-          }
-          if (!s) {  // over max_sessions: refuse at accept
-            transport_->close(ev.conn);
-            break;
-          }
-          ServerCounters::bump(sessions_accepted_);
-          break;
-        }
-        case TransportEvent::Kind::kData: {
-          std::shared_ptr<Session> s;
-          {
-            std::lock_guard lock(sessions_mu_);
-            auto it = sessions_.find(ev.conn);
-            if (it != sessions_.end()) s = it->second;
-          }
-          if (!s) break;
-          Session::FeedResult fed = s->feed(ev.data);
-          if (!fed.immediate_replies.empty()) {
-            transport_->send(ev.conn, fed.immediate_replies);
-          }
-          if (fed.fatal) {
-            transport_->close(ev.conn);
-            drop_session(ev.conn);
-            break;
-          }
-          schedule(std::move(s));
-          break;
-        }
-        case TransportEvent::Kind::kClosed:
-          drop_session(ev.conn);
-          break;
+void AtpServer::serve() {
+  std::shared_ptr<Session> finished;  // executed last turn
+  bool more = false;                  // ... and has more requests queued
+  for (;;) {
+    std::optional<Work> work;
+    bool pass_on = false;
+    {
+      std::unique_lock lock(queue_mu_);
+      if (finished) {
+        --executing_;
+        // Behind the sessions already waiting: a pipeliner gets no more
+        // than its turn.
+        if (more) ready_.push_back(std::move(finished));
+        finished.reset();
       }
+      for (;;) {
+        if (stopping_.load(std::memory_order_acquire)) return;
+        work = take_queued_locked();
+        if (work) break;
+        if (!poller_busy_) {
+          poller_busy_ = true;
+          break;
+        }
+        queue_cv_.wait(lock);
+      }
+      // A wakeup meant for the vacant poller role, or for more queued work,
+      // may have landed here; hand it on.
+      pass_on = work && (!poller_busy_ || runnable_locked());
     }
+    if (pass_on) queue_cv_.notify_one();
+    if (!work) work = poll_for_request();
+    if (!work) return;  // stopping
+    more = run(*work);
+    finished = std::move(work->session);
   }
 }
 
-void AtpServer::worker_loop() {
-  for (;;) {
-    std::shared_ptr<Session> s;
-    {
-      std::unique_lock lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) || !ready_.empty();
-      });
-      if (stopping_.load(std::memory_order_acquire)) return;
-      s = std::move(ready_.front());
-      ready_.pop_front();
+std::optional<AtpServer::Work> AtpServer::poll_for_request() {
+  std::vector<std::shared_ptr<Session>> fed;
+  while (!stopping_.load(std::memory_order_acquire)) {
+    for (const TransportEvent& ev : transport_->poll(opts_.poll_interval)) {
+      std::shared_ptr<Session> s = handle_event(ev);
+      if (s && (fed.empty() || fed.back() != s)) fed.push_back(std::move(s));
     }
-    const std::optional<Session::NextRequest> req = s->take_next();
-    if (!req.has_value()) continue;
-    const auto exec_start = std::chrono::steady_clock::now();
-    Session::ExecInfo info;
-    const std::string reply = s->execute(req->msg, &info);
-    const std::int64_t exec_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - exec_start)
-            .count();
-    transport_->send(s->conn(), reply);
-    record_request(*s, *req, info, exec_us);
-    // Re-queue instead of looping here so one chatty pipeliner cannot
-    // monopolize a worker while other sessions wait.
-    if (s->finish_one()) schedule(std::move(s));
+    if (fed.empty()) continue;
+    std::optional<Work> work;
+    bool wake_all = false;
+    {
+      std::lock_guard lock(queue_mu_);
+      // Sessions wait here only while every executor slot is busy (or until
+      // a follower woken for them arrives), so while a slot is free the
+      // front session is normally the one just read.
+      for (std::shared_ptr<Session>& s : fed) ready_.push_back(std::move(s));
+      work = take_queued_locked();
+      if (work) {
+        poller_busy_ = false;
+        wake_all = runnable_locked();
+      }
+    }
+    fed.clear();
+    if (!work) continue;  // saturated, or only partial frames: keep polling
+    if (wake_all) {
+      queue_cv_.notify_all();
+    } else {
+      queue_cv_.notify_one();  // a follower takes over polling
+    }
+    return work;
   }
+  return std::nullopt;
+}
+
+std::shared_ptr<Session> AtpServer::handle_event(const TransportEvent& ev) {
+  switch (ev.kind) {
+    case TransportEvent::Kind::kAccept: {
+      std::shared_ptr<Session> s;
+      {
+        std::lock_guard lock(sessions_mu_);
+        if (sessions_.size() < opts_.max_sessions) {
+          s = std::make_shared<Session>(ev.conn, db_, admission_, counters_);
+          sessions_.emplace(ev.conn, s);
+          if (sessions_active_ != nullptr) {
+            sessions_active_->set(double(sessions_.size()));
+          }
+        }
+      }
+      if (!s) {  // over max_sessions: refuse at accept
+        transport_->close(ev.conn);
+        return nullptr;
+      }
+      ServerCounters::bump(sessions_accepted_);
+      return nullptr;
+    }
+    case TransportEvent::Kind::kData: {
+      std::shared_ptr<Session> s;
+      {
+        std::lock_guard lock(sessions_mu_);
+        auto it = sessions_.find(ev.conn);
+        if (it != sessions_.end()) s = it->second;
+      }
+      if (!s) return nullptr;
+      Session::FeedResult fed = s->feed(ev.data);
+      if (!fed.immediate_replies.empty()) {
+        transport_->send(ev.conn, fed.immediate_replies);
+      }
+      if (fed.fatal) {
+        transport_->close(ev.conn);
+        drop_session(ev.conn);
+        return nullptr;
+      }
+      return s;
+    }
+    case TransportEvent::Kind::kClosed:
+      drop_session(ev.conn);
+      return nullptr;
+  }
+  return nullptr;
+}
+
+std::optional<AtpServer::Work> AtpServer::take_queued_locked() {
+  while (executing_ < max_executing_ && !ready_.empty()) {
+    std::shared_ptr<Session> s = std::move(ready_.front());
+    ready_.pop_front();
+    // Empty, closed, or executing on another thread (whose finish_one()
+    // reports the new request and requeues the session): skip it.
+    std::optional<Session::NextRequest> req = s->take_next();
+    if (!req.has_value()) continue;
+    ++executing_;
+    return Work{std::move(s), std::move(*req)};
+  }
+  return std::nullopt;
+}
+
+bool AtpServer::run(const Work& w) {
+  Session& s = *w.session;
+  const auto exec_start = std::chrono::steady_clock::now();
+  Session::ExecInfo info;
+  const std::string reply = s.execute(w.req.msg, &info);
+  const std::int64_t exec_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - exec_start)
+          .count();
+  transport_->send(s.conn(), reply);
+  record_request(s, w.req, info, exec_us);
+  return s.finish_one();
 }
 
 void AtpServer::record_request(const Session& s,

@@ -1,16 +1,35 @@
 // AtpServer: the network front-end tying transport, sessions, admission,
 // and the database together.
 //
-// One poll thread owns the Transport: it accepts connections into Session
-// objects, feeds incoming bytes through each session's frame decoder, and
-// drops sessions whose connection died or went bad.  Parsed requests are
-// executed by a small worker pool -- never the poll thread, because a
-// request may legitimately block for the full lock timeout (2s by default)
-// and the accept/read loop must keep breathing under that.  Each session is
-// executed by at most one worker at a time (Session::take_next marks it
-// busy), so per-connection request order is preserved while different
-// connections run genuinely in parallel.  Workers reply straight through
-// Transport::send, which is thread-safe on both backends.
+// Threading: a leader/followers loop.  `workers + 1` identical threads run
+// serve(); none is dedicated to polling.  At any moment one of them holds
+// the poller role: it owns the Transport's poll()/close(), accepts
+// connections into Session objects, feeds incoming bytes through each
+// session's frame decoder, and drops sessions whose connection died or went
+// bad.  Feeding is therefore serialized no matter which thread polls, so
+// per-connection byte order holds on both backends.
+//
+// The reader executes.  When the poller has parsed a request and fewer than
+// `workers` requests are executing, it passes the poller role to an idle
+// thread (one notify, no waiting), executes the request itself and replies
+// through Transport::send, which is thread-safe on both backends.  A
+// request never crosses to another thread on that path.
+//
+// Why `workers + 1` threads and not `workers`: a request may legitimately
+// block for the full lock timeout (2s by default), and the accept/read loop
+// must keep breathing under that.  When `workers` requests are executing,
+// the poller queues newly fed sessions instead of executing them and keeps
+// polling, so a lock holder's disconnect (which releases the lock the
+// executors wait on), a new accept or a window reject is still serviced
+// while every executor is blocked.  With only `workers` threads the last
+// one to pick up a request would leave nobody polling.
+//
+// A thread that finishes a request takes a queued session before it goes
+// idle or polls.  A session with more pipelined requests is requeued behind
+// the sessions already waiting, so one chatty pipeliner cannot monopolize a
+// thread.  Each session is executed by at most one thread at a time
+// (Session::take_next marks it busy), so per-connection request order is
+// preserved while different connections run in parallel.
 //
 // The same object runs over TcpTransport (atpd, bench_net) or SimTransport
 // (deterministic tests, fault schedules) -- it never inspects which.
@@ -24,6 +43,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -52,13 +72,14 @@ struct SlowRequest {
 };
 
 struct ServerOptions {
-  /// Worker threads executing requests (>= 1; each can block on locks).
+  /// Requests executing at once (>= 1; each can block on locks).  The
+  /// server runs one more thread than this so someone always polls.
   std::size_t workers = 4;
   /// Client classes; empty = default_classes().
   std::vector<ClassPolicy> classes;
   /// Optional registry: srv.* counters, session gauge, admission tallies.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Poll-loop wakeup cadence (also the stop() latency bound).
+  /// Poller wakeup cadence (also the stop() latency bound).
   std::chrono::milliseconds poll_interval{50};
   /// Connections past this are closed at accept.
   std::size_t max_sessions = 1024;
@@ -94,15 +115,34 @@ class AtpServer {
   }
 
  private:
-  void poll_loop();
-  void worker_loop();
+  /// A request taken off a session, ready to execute on this thread.
+  struct Work {
+    std::shared_ptr<Session> session;
+    Session::NextRequest req;
+  };
+
+  /// Body of every server thread: execute queued work, else hold the
+  /// poller role, else wait.
+  void serve();
+  /// Poller role: poll until a fed request can execute on this thread, then
+  /// pass the role on and return it.  std::nullopt once stopping.
+  std::optional<Work> poll_for_request();
+  /// Accept, feed or drop for one transport event (poller only).  Returns
+  /// the session that was fed and stays open.
+  std::shared_ptr<Session> handle_event(const TransportEvent& ev);
+  /// queue_mu_ held: pop queued sessions until one yields a request and
+  /// claim an executor slot for it; std::nullopt when none can run now.
+  std::optional<Work> take_queued_locked();
+  /// queue_mu_ held: a free executor slot and a queued session.
+  [[nodiscard]] bool runnable_locked() const {
+    return executing_ < max_executing_ && !ready_.empty();
+  }
+  /// Execute, reply, record; true when the session has more queued.
+  bool run(const Work& w);
   /// Latency histogram + slow-request log for one finished request.
   void record_request(const Session& s, const Session::NextRequest& req,
                       const Session::ExecInfo& info, std::int64_t exec_us);
-  /// Queue `s` for worker execution (duplicates are harmless: take_next
-  /// refuses a session that is already executing or empty).
-  void schedule(std::shared_ptr<Session> s);
-  /// Poll thread: tear down and forget the session for `conn`.
+  /// Poller: tear down and forget the session for `conn`.
   void drop_session(ConnId conn);
 
   Database& db_;
@@ -120,12 +160,15 @@ class AtpServer {
 
   OrderedMutex<LockRank::kServerQueue> queue_mu_;  ///< rank kServerQueue
   OrderedCondVar queue_cv_;
-  std::deque<std::shared_ptr<Session>> ready_;
+  // Guarded by queue_mu_.
+  std::deque<std::shared_ptr<Session>> ready_;  ///< fed while saturated
+  std::size_t executing_ = 0;  ///< threads holding a taken request
+  bool poller_busy_ = false;   ///< some thread holds the poller role
+  std::size_t max_executing_ = 1;  ///< opts_.workers, at least 1
 
   std::atomic<bool> stopping_{false};
   OrderedMutex<LockRank::kServerStop> stop_mu_;  ///< rank kServerStop (outermost); serializes stop(): join() is not join()-concurrent-safe
-  std::thread poll_thread_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> threads_;  ///< max_executing_ + 1, all serve()
 };
 
 }  // namespace atp::server

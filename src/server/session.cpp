@@ -40,7 +40,7 @@ Session::FeedResult Session::feed(std::string_view bytes) {
         cls_ != nullptr ? cls_->window : kPreHelloWindow;
     if (pending_.size() + (executing_ ? 1 : 0) >= window) {
       // Backpressure: the class's in-flight window is full.  Answer now
-      // (from the poll thread) rather than queueing unboundedly.
+      // (from the poller) rather than queueing unboundedly.
       ServerCounters::bump(counters_.window_rejects);
       encode_frame(error_reply(*msg, Status::Unavailable(
                                          "in-flight window full")),
@@ -96,7 +96,7 @@ void Session::close() {
     std::lock_guard lock(mu_);
     state_ = State::Closed;
     pending_.clear();
-    // A worker is mid-execute: it observes Closed in finish_one() and runs
+    // A thread is mid-execute: it observes Closed in finish_one() and runs
     // the teardown itself -- Txn handles are never touched concurrently.
     if (executing_ || cleaned_) return;
     cleaned_ = true;

@@ -16,11 +16,15 @@
 // synchronous client never notices; a pipelining client gets pushback
 // proportional to what its class bought.
 //
-// Threading: feed()/take_next() run on the server poll thread; execute()
-// runs on one worker at a time (the server's per-session serial-dispatch
-// guarantee); the internal mutex covers the small shared state between
-// them.  Txn objects themselves are touched only inside execute() and
-// close(), which the server never overlaps.
+// Threading: feed() runs on whichever server thread holds the poller role
+// (one at a time, so the decoder sees the stream in order); take_next(),
+// execute() and finish_one() run on the thread that will execute the
+// request -- usually that same poller, which then hands the role on.  At
+// most one thread executes a session at a time (take_next marks it busy;
+// the server's per-session serial-dispatch guarantee); the internal mutex
+// covers the small shared state between feeding and executing.  Txn
+// objects themselves are touched only inside execute() and close(), which
+// the server never overlaps.
 #pragma once
 
 #include <chrono>
@@ -56,7 +60,7 @@ struct ServerCounters {
   std::unordered_map<std::string, obs::ShardedCounter*> admission_granted;
   std::unordered_map<std::string, obs::ShardedCounter*> admission_rejected;
   /// Per-class request latency (srv.request_latency.<class>), recorded by
-  /// the worker as queued + execute time in microseconds.
+  /// the executing thread as queued + execute time in microseconds.
   std::unordered_map<std::string, Histogram*> request_latency;
 
   static void bump(obs::ShardedCounter* c) {
@@ -75,14 +79,14 @@ class Session {
 
   [[nodiscard]] ConnId conn() const noexcept { return conn_; }
 
-  /// Outcome of feeding bytes: replies the poll thread must send now
+  /// Outcome of feeding bytes: replies the poller must send now
   /// (window pushback), and whether the connection must be dropped.
   struct FeedResult {
     std::string immediate_replies;  ///< encoded frames; may be empty
     bool fatal = false;             ///< protocol error: drop the connection
   };
 
-  /// Parse incoming bytes into the request queue (poll thread).
+  /// Parse incoming bytes into the request queue (poller).
   [[nodiscard]] FeedResult feed(std::string_view bytes);
 
   /// A dequeued request plus how long it sat behind earlier requests --
@@ -92,9 +96,9 @@ class Session {
     std::int64_t queued_us = 0;
   };
 
-  /// Next queued request for a worker, marking the session executing.
+  /// Next queued request for an executing thread, marking the session busy.
   /// Returns std::nullopt (and does not mark) when the queue is empty, the
-  /// session is closed, or another worker is already executing it.
+  /// session is closed, or another thread is already executing it.
   [[nodiscard]] std::optional<NextRequest> take_next();
 
   /// What execute() replied with, for latency/slow-request accounting.
@@ -104,7 +108,7 @@ class Session {
   };
 
   /// Execute one request against the database; returns the encoded reply.
-  /// Worker thread; the server guarantees one execute() at a time.
+  /// Executing thread; the server guarantees one execute() at a time.
   [[nodiscard]] std::string execute(const WireMessage& req,
                                     ExecInfo* info = nullptr);
 
@@ -112,8 +116,8 @@ class Session {
   [[nodiscard]] bool finish_one();
 
   /// Tear down: abort live transactions, release grants.  Idempotent.
-  /// Poll thread, or worker via server (never concurrently with execute --
-  /// the server only closes a session it has unscheduled).
+  /// Poller, or the server at stop (never concurrently with execute: a close
+  /// during execute defers teardown to that thread's finish_one()).
   void close();
 
   [[nodiscard]] bool closed() const {
@@ -166,12 +170,12 @@ class Session {
   mutable OrderedMutex<LockRank::kSession> mu_;  // rank kSession; guards state_/cls_/pending_/executing_
   State state_ = State::AwaitHello;
   const ClassPolicy* cls_ = nullptr;
-  FrameReader reader_;                 // poll thread only
+  FrameReader reader_;                 // poller only
   std::deque<Pending> pending_;
   bool executing_ = false;
   bool cleaned_ = false;  ///< teardown already ran (close is idempotent)
 
-  // Worker-side state: only execute()/close() touch these, never
+  // Executor-side state: only execute()/close() touch these, never
   // concurrently (see threading note above).
   std::unordered_map<std::uint64_t, LiveTxn> txns_;
 };

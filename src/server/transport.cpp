@@ -27,7 +27,7 @@ TcpTransport::TcpTransport(std::uint16_t port)
     : listener_(port, /*backlog=*/64) {
   if (!listener_.ok()) return;
   // The accept drain loop relies on EAGAIN to stop; a blocking listener
-  // would park the poll thread inside accept4 instead.
+  // would park the poller inside accept4 instead.
   if (!set_nonblocking(listener_.fd())) return;
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ < 0) return;
@@ -56,8 +56,12 @@ std::vector<TransportEvent> TcpTransport::poll(
   std::vector<TransportEvent> out;
   if (!ok()) return out;
 
-  {  // Reap connections send() evicted for backpressure.
+  // Reap connections send() evicted for backpressure.  The flag keeps the
+  // common poll off mu_: a reply send() holds it across its syscall, and a
+  // poller blocked behind that costs a futex wake on the replying thread.
+  if (reap_pending_.load(std::memory_order_acquire)) {
     std::lock_guard lock(mu_);
+    reap_pending_.store(false, std::memory_order_release);
     for (const ConnId id : reap_) {
       if (conns_.count(id) == 0) continue;
       destroy_locked(id);
@@ -126,18 +130,20 @@ void TcpTransport::accept_ready(std::vector<TransportEvent>* out) {
 void TcpTransport::read_ready(ConnId id, std::vector<TransportEvent>* out) {
   std::string data;
   bool closed = false;
-  int fd;
-  {
-    std::lock_guard lock(mu_);
-    auto it = conns_.find(id);
-    if (it == conns_.end()) return;  // died earlier in this batch
-    fd = it->second.fd;
-  }
+  // No lock: only the poller inserts into or erases from conns_, so its own
+  // lookup cannot race a writer (send() only reads the map).
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return;  // died earlier in this batch
+  const int fd = it->second.fd;
   char buf[64 * 1024];
   for (;;) {
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n > 0) {
       data.append(buf, std::size_t(n));
+      // A short read emptied the socket.  Epoll is level-triggered, so the
+      // next bytes, or an EOF right behind these, show on the next poll;
+      // asking again now would only cost a recv that says EAGAIN.
+      if (std::size_t(n) < sizeof buf) break;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -207,9 +213,10 @@ bool TcpTransport::send(ConnId conn, std::string_view bytes) {
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (n < 0 && errno == EINTR) continue;
-      // Hard send error: let the poll thread reap it.
+      // Hard send error: let the poller reap it.
       c.doomed = true;
       reap_.push_back(conn);
+      reap_pending_.store(true, std::memory_order_release);
       return false;
     }
     if (off == bytes.size()) return true;
@@ -219,6 +226,7 @@ bool TcpTransport::send(ConnId conn, std::string_view bytes) {
     // The peer stopped reading; buffering forever is how servers die.
     c.doomed = true;
     reap_.push_back(conn);
+    reap_pending_.store(true, std::memory_order_release);
     return false;
   }
   arm_epollout_locked(conn, c, true);

@@ -5,9 +5,10 @@
 //
 //   * TcpTransport -- the production path.  One epoll instance drives a
 //     non-blocking accept/read/write loop over real loopback sockets:
-//     accepts are drained until EAGAIN, reads gather whatever the kernel
-//     has, writes try inline first and fall back to a bounded per-connection
-//     queue flushed on EPOLLOUT readiness.  A connection that buffers more
+//     accepts are drained until EAGAIN, a read takes what one recv returns
+//     (another only after a full buffer), writes try inline first and fall
+//     back to a bounded per-connection queue flushed on EPOLLOUT
+//     readiness.  A connection that buffers more
 //     than kMaxWriteBuffer (a client that stopped reading) is closed --
 //     backpressure by eviction, never unbounded memory.
 //
@@ -20,10 +21,13 @@
 //     every session/admission test can run deterministically (and under the
 //     fault injector) without a socket.
 //
-// Threading contract: poll() and close() belong to one thread (the server
-// loop); send() may be called from any thread (worker pools reply directly).
+// Threading contract: poll() and close() are called by one thread at a time
+// (the server's current poller; the role moves between threads under the
+// server's queue mutex, which orders the calls); send() may be called from
+// any thread (whichever thread executed a request replies directly).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -70,7 +74,7 @@ class Transport {
   /// is gone (the caller's session will see kClosed on the next poll).
   virtual bool send(ConnId conn, std::string_view bytes) = 0;
 
-  /// Drop `conn` (poll-thread only).  No kClosed event is emitted for a
+  /// Drop `conn` (poller only).  No kClosed event is emitted for a
   /// locally-initiated close.
   virtual void close(ConnId conn) = 0;
 
@@ -114,12 +118,14 @@ class TcpTransport final : public Transport {
   int epoll_fd_ = -1;
   ConnId next_id_ = 2;   // 1 tags the listener in epoll data
   // One lock for the map and all Conn state: every critical section is a
-  // memcpy plus at most one non-blocking syscall, so worker reply threads
-  // and the poll thread contend only briefly.  epoll_wait itself runs
-  // unlocked.
+  // memcpy plus at most one non-blocking syscall, so replying threads and
+  // the poller contend only briefly.  epoll_wait itself runs unlocked, and
+  // so do the poller's reads of the map: only the poller inserts or
+  // erases, under mu_, while send() only looks entries up.
   mutable OrderedMutex<LockRank::kTransport> mu_;  ///< rank kTransport
   std::unordered_map<ConnId, Conn> conns_;
   std::vector<ConnId> reap_;  ///< doomed by send(); poll emits kClosed
+  std::atomic<bool> reap_pending_{false};  ///< reap_ is non-empty
 };
 
 /// Deterministic backend over SimNetwork.  The server occupies
@@ -139,7 +145,7 @@ class SimTransport final : public Transport {
   SimNetwork& net_;
   SiteId site_;
   // send() is thread-safe per the Transport contract, so the open-connection
-  // set the poll thread mutates must be guarded (mirrors TcpTransport::mu_).
+  // set the poller mutates must be guarded (mirrors TcpTransport::mu_).
   mutable OrderedMutex<LockRank::kTransport> mu_;  ///< rank kTransport
   std::unordered_set<ConnId> open_;
 };

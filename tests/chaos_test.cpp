@@ -19,10 +19,14 @@
 // identical fault schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -173,6 +177,109 @@ DistTxnSpec chain_spec(Value amount, Value piece_epsilon) {
   return spec;
 }
 
+/// One chopped transfer the client saw commit.
+struct Transfer {
+  std::uint64_t gtid = 0;
+  Value amount = 0;
+  std::uint64_t failed_attempts = 0;  ///< run_chopped errors before it
+  bool done = false;                  ///< completion notice arrived
+};
+
+/// What a conservation failure needs for a diagnosis: each site's balance
+/// against what the committed transfers should have left there, each
+/// transfer's state, and each chain's pieces as the trace saw them commit.
+/// Pieces link through queue message ids (unique across sites): piece k's
+/// committed enqueue is the message piece k+1 dequeues, so a message
+/// dequeued by two committed transactions is a piece applied twice, and a
+/// piece-1 commit with no transfer behind it is a debit the client never
+/// saw succeed.
+std::string conservation_report(ChaosRig& rig,
+                                const std::vector<Transfer>& transfers,
+                                const std::vector<TraceEvent>& events) {
+  std::ostringstream out;
+  Value moved = 0;
+  for (const Transfer& t : transfers) moved += t.amount;
+  const Key account_of[3] = {kAccount0, kAccount1, kAccount2};
+  const Value expected[3] = {kInitial - 2 * moved, kInitial + moved,
+                             kInitial + moved};
+  for (SiteId s = 0; s < 3; ++s) {
+    const Value b = rig.balance(s, account_of[s]);
+    out << "\nsite " << s << " balance " << b << " expected " << expected[s]
+        << " (off by " << b - expected[s] << ")";
+  }
+  for (const Transfer& t : transfers) {
+    out << "\ngtid " << t.gtid << " amount " << t.amount << " failed attempts "
+        << t.failed_attempts << (t.done ? " done" : " NOT done");
+  }
+
+  struct Piece {
+    bool committed = false;
+    std::uint64_t seq = 0;  ///< of the commit
+    std::vector<std::uint64_t> dequeued, enqueued;
+    std::optional<Value> wrote;  ///< last value installed on the account
+  };
+  std::map<std::pair<SiteId, TxnId>, Piece> txns;
+  std::map<std::uint64_t, std::string> returned;  // msg -> its redeliveries
+  for (const TraceEvent& e : events) {
+    if (e.kind == TraceKind::QueueRedeliver) {
+      returned[e.aux] += " returned@" + std::to_string(e.seq) +
+                         (e.txn == kInvalidTxn ? "(crash)" : "(abort)");
+      continue;
+    }
+    Piece& p = txns[{e.site, e.txn}];
+    switch (e.kind) {
+      case TraceKind::TxnCommit:
+        p.committed = true;
+        p.seq = e.seq;
+        break;
+      case TraceKind::QueueDequeue: p.dequeued.push_back(e.aux); break;
+      case TraceKind::QueueEnqueue: p.enqueued.push_back(e.aux); break;
+      case TraceKind::Write:
+        if (e.site < 3 && e.key == account_of[e.site]) p.wrote = Value(e.a);
+        break;
+      default: break;
+    }
+  }
+  // Message -> the committed transactions that dequeued it.
+  std::map<std::uint64_t, std::vector<std::pair<SiteId, TxnId>>> consumers;
+  std::vector<std::pair<std::uint64_t, std::pair<SiteId, TxnId>>> firsts;
+  for (const auto& [id, p] : txns) {
+    if (!p.committed) continue;
+    for (const std::uint64_t m : p.dequeued) consumers[m].push_back(id);
+    if (id.first == 0 && p.dequeued.empty() && !p.enqueued.empty()) {
+      firsts.push_back({p.seq, id});
+    }
+  }
+  std::sort(firsts.begin(), firsts.end());
+  out << "\ntrace: " << events.size() << " events, " << rig.tracer.dropped()
+      << " dropped; " << firsts.size() << " piece-1 commits for "
+      << transfers.size() << " transfers";
+  for (std::size_t i = 0; i < firsts.size(); ++i) {
+    out << "\nchain " << i;
+    if (i < transfers.size()) out << " (gtid " << transfers[i].gtid << ")";
+    std::pair<SiteId, TxnId> id = firsts[i].second;
+    for (int piece = 1; piece <= 4; ++piece) {
+      const Piece& p = txns[id];
+      out << "\n  piece " << piece << " site " << id.first << " txn "
+          << id.second;
+      if (p.wrote) out << " wrote " << *p.wrote;
+      if (p.enqueued.empty()) break;
+      const std::uint64_t m = p.enqueued.front();
+      const std::vector<std::pair<SiteId, TxnId>>& by = consumers[m];
+      out << " -> msg " << m << " consumed by " << by.size() << " commits";
+      if (by.size() > 1) {
+        for (const auto& c : by) {
+          out << " txn " << c.second << "@" << txns[c].seq;
+        }
+        out << returned[m];
+      }
+      if (by.empty()) break;
+      id = by.front();
+    }
+  }
+  return out.str();
+}
+
 class ChaosMatrix
     : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
@@ -221,7 +328,7 @@ TEST_P(ChaosMatrix, ConservesMoneyAndBudgetsUnderFaults) {
   const RetryPolicy policy = RetryPolicy::chop_handler();
   Rng amounts(seed * 31 + 7);
   constexpr int kTxns = 30;
-  std::vector<std::uint64_t> gtids;
+  std::vector<Transfer> transfers;
   bool clients_ok = true;
   for (int i = 0; i < kTxns && clients_ok; ++i) {
     const Value amount = 1 + Value(amounts.uniform(5));
@@ -233,7 +340,7 @@ TEST_P(ChaosMatrix, ConservesMoneyAndBudgetsUnderFaults) {
       }
       auto out = coord.run_chopped(spec, 0ms);
       if (out.ok()) {
-        gtids.push_back(out.value().gtid);
+        transfers.push_back({out.value().gtid, amount, attempt, false});
         committed = true;
       }
     }
@@ -246,17 +353,19 @@ TEST_P(ChaosMatrix, ConservesMoneyAndBudgetsUnderFaults) {
   for (auto& t : storms) t.join();
   queries.join();
   ASSERT_TRUE(clients_ok) << "piece 1 never committed within 500 attempts";
-  for (const std::uint64_t gtid : gtids) {
-    EXPECT_TRUE(rig.raw[0]->wait_done(gtid, 30000ms)) << "gtid " << gtid;
+  for (Transfer& t : transfers) {
+    t.done = rig.raw[0]->wait_done(t.gtid, 30000ms);
+    EXPECT_TRUE(t.done) << "gtid " << t.gtid;
   }
   rig.stop_all();
+  const auto events = rig.tracer.collect();
 
   // Oracle 1: conservation.  Exactly-once end to end -- lost messages were
   // retransmitted, duplicates deduped, crashed pieces redelivered, never
   // double-applied.
   const Value total = rig.balance(0, kAccount0) + rig.balance(1, kAccount1) +
                       rig.balance(2, kAccount2);
-  EXPECT_EQ(total, 3 * kInitial);
+  EXPECT_EQ(total, 3 * kInitial) << conservation_report(rig, transfers, events);
 
   // Oracle 2: recovery replay.  An independent redo of each site's log must
   // land on exactly the live committed balances (write-ahead discipline
@@ -273,7 +382,6 @@ TEST_P(ChaosMatrix, ConservesMoneyAndBudgetsUnderFaults) {
 
   // Oracle 3: ESR certifier over the full trace -- every committed ET's
   // imports/exports stayed within its spec, crash storms notwithstanding.
-  const auto events = rig.tracer.collect();
   const EsrReport esr = certify_esr(events, rig.tracer.dropped());
   EXPECT_TRUE(esr.complete);
   EXPECT_TRUE(esr.ok) << esr.describe();

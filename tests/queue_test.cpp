@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <string>
+#include <thread>
 
 #include "queue/recoverable_queue.h"
 
@@ -164,6 +166,49 @@ TEST_F(QueueTest, ClaimRevertsOnReceiverCrash) {
   // The zombie transaction's abort must not double-redeliver.
   r.abort();
   EXPECT_EQ(receiver_.depth("q"), 1u);
+}
+
+TEST_F(QueueTest, CrashWaitsForAConsumerCommitInItsHooks) {
+  // A consumer that has published its writes is committed, even while its
+  // commit hooks -- one of which settles the claim -- have yet to run.  A
+  // site crash in that window must wait for the hooks instead of returning
+  // the message to the queue, or the piece it carries is applied twice.
+  {
+    Txn t = db_a_.begin(TxnKind::Update, EpsilonSpec::unlimited());
+    sender_.enqueue(t, 1, "q", std::string("once"));
+    ASSERT_TRUE(t.commit().ok());
+  }
+  shuttle();
+  db_b_.load(7, 0);
+  std::promise<void> in_hooks;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread consumer([&] {
+    Txn r = db_b_.begin(TxnKind::Update, EpsilonSpec::unlimited());
+    // Registered before the claim's hook, so it runs first.
+    r.on_commit([&] {
+      in_hooks.set_value();
+      released.wait();
+    });
+    const bool claimed = receiver_.try_dequeue(r, "q").has_value();
+    EXPECT_TRUE(claimed);
+    EXPECT_TRUE(r.add(7, 1).ok());
+    EXPECT_TRUE(r.commit().ok());
+  });
+  in_hooks.get_future().wait();
+  // What Site::crash does: drop dirty data, then revert in-flight claims.
+  std::future<void> crashed = std::async(std::launch::async, [&] {
+    db_b_.crash();
+    receiver_.crash();
+  });
+  EXPECT_EQ(crashed.wait_for(100ms), std::future_status::timeout)
+      << "the crash must wait for the commit in flight";
+  release.set_value();
+  consumer.join();
+  crashed.get();
+  EXPECT_EQ(db_b_.store().read_committed(7).value_or(-1), 1);
+  EXPECT_EQ(receiver_.depth("q"), 0u) << "consumed once, never returned";
+  EXPECT_EQ(receiver_.stats().consumed, 1u);
 }
 
 TEST_F(QueueTest, MultipleQueuesAreIndependent) {

@@ -5,6 +5,8 @@
 // disconnect teardown, budget release) is tested without sockets; one suite
 // drives the real TcpTransport end-to-end with concurrent clients.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -15,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/socket.h"
 #include "obs/metrics_registry.h"
 #include "sched/database.h"
 #include "server/client.h"
@@ -345,6 +348,158 @@ TEST(Server, TcpConcurrentClientsAndCounters) {
   ASSERT_NE(granted, nullptr);
   EXPECT_GE(granted->value, double(total));
   srv.stop();
+}
+
+TEST(Server, LockHolderDisconnectUnblocksWaiterWithOneWorker) {
+  // One executor slot, and B's add takes it while it waits on A's X lock.
+  // Only the thread kept back for polling can see A disconnect, and A's
+  // teardown is what releases the lock.  Without that thread B waits out
+  // the full 2s lock timeout and fails.
+  Database db(DatabaseOptions{});
+  db.load(5, 100);
+  ServerOptions so;
+  so.workers = 1;
+  AtpServer srv(db, std::make_unique<TcpTransport>(0), std::move(so));
+  ASSERT_TRUE(srv.ok());
+
+  Client a(std::make_unique<TcpByteChannel>("127.0.0.1", srv.port()));
+  ASSERT_TRUE(a.hello("bronze").ok());
+  auto ta = a.begin(TxnKind::Update);
+  ASSERT_TRUE(ta.ok());
+  ASSERT_TRUE(a.add(ta.value(), 5, -10).ok());  // A holds X on key 5
+
+  Client b(std::make_unique<TcpByteChannel>("127.0.0.1", srv.port()));
+  ASSERT_TRUE(b.hello("bronze").ok());
+  auto tb = b.begin(TxnKind::Update);
+  ASSERT_TRUE(tb.ok());
+  std::future<Status> blocked = std::async(
+      std::launch::async, [&] { return b.add(tb.value(), 5, +1); });
+  ASSERT_EQ(blocked.wait_for(200ms), std::future_status::timeout)
+      << "B's add must wait on A's lock";
+
+  const auto t0 = std::chrono::steady_clock::now();
+  a.close();
+  const Status added = blocked.get();
+  ASSERT_TRUE(added.ok()) << added.to_string();
+  ASSERT_TRUE(b.commit(tb.value()).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 500ms);
+  EXPECT_EQ(db.store().read_committed(5).value(), 101);  // A's -10 aborted
+  b.close();
+  srv.stop();
+}
+
+TEST(Server, PipelinedRequestsKeepOrderAcrossWorkers) {
+  // Many threads may execute a session's requests one after another; the
+  // replies and the effects must still follow the order on the wire.
+  Database db(DatabaseOptions{});
+  db.load(3, 0);
+  ServerOptions so;
+  so.workers = 4;
+  AtpServer srv(db, std::make_unique<TcpTransport>(0), std::move(so));
+  ASSERT_TRUE(srv.ok());
+
+  TcpByteChannel ch("127.0.0.1", srv.port());
+  ASSERT_TRUE(ch.ok());
+  FrameReader reader;
+  std::vector<WireMessage> replies;
+  auto await_replies = [&](std::size_t n) {
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (replies.size() < n && std::chrono::steady_clock::now() < deadline) {
+      while (auto r = reader.next()) replies.push_back(std::move(*r));
+      if (replies.size() >= n) break;
+      if (auto bytes = ch.recv(100ms)) reader.feed(*bytes);
+    }
+  };
+
+  // Hello first: before it executes the session has the pre-hello window.
+  WireMessage hello;
+  hello.kind = MsgKind::kHello;
+  hello.seq = 1;
+  hello.text = "gold";
+  ASSERT_TRUE(ch.send_bytes(encode_frame(hello)));
+  await_replies(1);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_EQ(replies[0].kind, MsgKind::kHelloOk);
+
+  // One send: begin, then eight write/read pairs on one key, then commit.
+  constexpr int kPairs = 8;
+  std::string burst;
+  std::uint64_t seq = 1;
+  WireMessage begin;
+  begin.kind = MsgKind::kBegin;
+  begin.seq = ++seq;
+  begin.txn = 1;
+  begin.op = std::uint8_t(TxnKind::Update);
+  begin.value = -1;
+  encode_frame(begin, &burst);
+  for (int i = 1; i <= kPairs; ++i) {
+    WireMessage w;
+    w.kind = MsgKind::kOp;
+    w.seq = ++seq;
+    w.txn = 1;
+    w.op = std::uint8_t(OpCode::kWrite);
+    w.key = 3;
+    w.value = double(10 * i);
+    encode_frame(w, &burst);
+    WireMessage r = w;
+    r.seq = ++seq;
+    r.op = std::uint8_t(OpCode::kRead);
+    r.value = 0;
+    encode_frame(r, &burst);
+  }
+  WireMessage commit;
+  commit.kind = MsgKind::kCommit;
+  commit.seq = ++seq;
+  commit.txn = 1;
+  encode_frame(commit, &burst);
+  ASSERT_TRUE(ch.send_bytes(burst));
+
+  await_replies(std::size_t(seq));
+  ASSERT_EQ(replies.size(), std::size_t(seq));
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].seq, std::uint64_t(i + 1)) << "reply " << i;
+  }
+  EXPECT_EQ(replies[1].kind, MsgKind::kOk);  // begin
+  for (int i = 1; i <= kPairs; ++i) {
+    const WireMessage& wrote = replies[std::size_t(2 * i)];
+    const WireMessage& read = replies[std::size_t(2 * i + 1)];
+    EXPECT_EQ(wrote.kind, MsgKind::kOk) << "write " << i;
+    ASSERT_EQ(read.kind, MsgKind::kValue) << "read " << i;
+    EXPECT_EQ(read.value, double(10 * i)) << "read " << i;
+  }
+  EXPECT_EQ(replies.back().kind, MsgKind::kOk);  // commit
+  EXPECT_EQ(db.store().read_committed(3).value(), 10 * kPairs);
+  ch.close();
+  srv.stop();
+}
+
+TEST(Transport, TcpDataThenFinYieldsDataThenClosed) {
+  // A read stops after a short recv, so the EOF right behind the data is
+  // left for a later poll; it must still arrive, and after the data.
+  TcpTransport t(0);
+  ASSERT_TRUE(t.ok());
+  const int fd = connect_tcp("127.0.0.1", t.port());
+  ASSERT_GE(fd, 0);
+  const std::string payload = "request bytes then FIN";
+  ASSERT_TRUE(send_all(fd, payload));
+  ::close(fd);
+
+  std::vector<TransportEvent> seen;
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (std::chrono::steady_clock::now() < deadline &&
+         (seen.empty() ||
+          seen.back().kind != TransportEvent::Kind::kClosed)) {
+    for (TransportEvent& ev : t.poll(20ms)) seen.push_back(std::move(ev));
+  }
+  ASSERT_FALSE(seen.empty());
+  EXPECT_EQ(seen.front().kind, TransportEvent::Kind::kAccept);
+  EXPECT_EQ(seen.back().kind, TransportEvent::Kind::kClosed);
+  std::string data;
+  for (std::size_t i = 1; i + 1 < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].kind, TransportEvent::Kind::kData) << "event " << i;
+    data += seen[i].data;
+  }
+  EXPECT_EQ(data, payload);
 }
 
 TEST(Server, RepeatedStartStopNeverHangs) {

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "audit/online_certifier.h"
 #include "chop/analyzer.h"
@@ -317,33 +318,55 @@ void BM_ProtocolEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_ProtocolEncodeDecode);
 
 void BM_ServerPingRoundTrip(benchmark::State& state) {
-  // One kPing from a blocking TCP client on loopback to an in-process
-  // AtpServer with 2 executing threads (wire_oltp's setting) and back:
-  // the server's per-request plumbing -- poll, frame decode, dispatch,
-  // reply -- with no engine work.  Wall time, since the client mostly
-  // waits.
+  // kPings from state.range(0) blocking TCP clients on loopback to an
+  // in-process AtpServer with 2 executing threads (wire_oltp's setting) and
+  // back: the server's per-request plumbing -- poll, frame decode,
+  // dispatch, reply -- with no engine work.  This thread is the timed
+  // client; the others ping flat out beside it and their pings count too,
+  // so items/s is the server's total ping rate.  Wall time, since the
+  // clients mostly wait.
+  const auto clients = std::size_t(state.range(0));
   Database db(DatabaseOptions{});
   server::ServerOptions so;
   so.workers = 2;
   server::AtpServer srv(db, std::make_unique<server::TcpTransport>(0),
                         std::move(so));
-  server::Client client(
-      std::make_unique<server::TcpByteChannel>("127.0.0.1", srv.port()));
-  if (!srv.ok() || !client.hello("gold").ok()) {
+  bool up = srv.ok();
+  std::vector<std::unique_ptr<server::Client>> cs;
+  for (std::size_t i = 0; i < clients && up; ++i) {
+    cs.push_back(std::make_unique<server::Client>(
+        std::make_unique<server::TcpByteChannel>("127.0.0.1", srv.port())));
+    up = cs.back()->hello("gold").ok();
+  }
+  if (!up) {
     state.SkipWithError("server did not come up");
     return;
   }
+  std::atomic<bool> stop{false};
+  std::atomic<std::int64_t> others{0};
+  std::vector<std::thread> pingers;
+  for (std::size_t i = 1; i < clients; ++i) {
+    pingers.emplace_back([&, i] {
+      while (!stop.load(std::memory_order_relaxed) && cs[i]->ping().ok()) {
+        others.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  const std::int64_t others_before = others.load();
   for (auto _ : state) {
-    if (!client.ping().ok()) {
+    if (!cs[0]->ping().ok()) {
       state.SkipWithError("ping failed");
       break;
     }
   }
-  state.SetItemsProcessed(state.iterations());
-  client.close();
+  const std::int64_t others_during = others.load() - others_before;
+  stop = true;
+  for (std::thread& t : pingers) t.join();
+  state.SetItemsProcessed(state.iterations() + others_during);
+  for (auto& c : cs) c->close();
   srv.stop();
 }
-BENCHMARK(BM_ServerPingRoundTrip)->UseRealTime();
+BENCHMARK(BM_ServerPingRoundTrip)->Arg(1)->Arg(2)->UseRealTime();
 
 void BM_TxnCommitCycle(benchmark::State& state) {
   Database db(DatabaseOptions{});

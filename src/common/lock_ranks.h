@@ -33,6 +33,7 @@
 //                     a thread's first record; recording is otherwise
 //                     lock-free)
 //   txn shard      -> txn charge ("shard then charge")           (190<200)
+//   net inbox      -> sim transport (SimTransport::poll's claim) (240<245)
 //   net inbox      -> net state ("inbox then state")             (240<250)
 #pragma once
 
@@ -47,13 +48,18 @@ enum class LockRank : std::uint16_t {
   /// AtpServer::sessions_mu_ — connection table; held across Session::close
   /// during shutdown (which aborts transactions, taking db locks).
   kServerSessions = 20,
-  /// AtpServer::queue_mu_ — worker ready-queue (leaf in practice, but ranked
-  /// under the server umbrella for clarity).
+  /// AtpServer::queue_mu_ — executor slots + the ready-queue of sessions
+  /// fed while every slot was busy (takes kSession for Session::take_next).
   kServerQueue = 30,
   /// Session::mu_ — per-session frame decoder + pipeline state.
   kSession = 40,
-  /// TcpTransport::mu_ / SimTransport::mu_ — connection map / open set.
+  /// TcpTransport::mu_ — connection map only (insert, erase, lookup); no
+  /// syscall runs under it.
   kTransport = 50,
+  /// TcpTransport::Conn::mu — one connection's fd, write queue and one-shot
+  /// arming state; held across that connection's send/recv/epoll_ctl.
+  /// Never held together with kTransport.
+  kTransportConn = 55,
   /// obs::ObsServer::registry_mu_ — exporter's registry pointer; held while
   /// snapshotting the registry (rank kObsRegistry).
   kObsExporter = 60,
@@ -118,6 +124,9 @@ enum class LockRank : std::uint16_t {
   kAdmission = 230,
   /// SimNetwork Inbox::mu — per-site delivery queue ("inbox then state").
   kNetInbox = 240,
+  /// SimTransport::mu_ — open/held connection sets.  SimTransport::poll's
+  /// claim runs inside the SimNetwork inbox lock and takes it there.
+  kSimTransport = 245,
   /// SimNetwork::state_mu_ — site up/down + partition matrix.
   kNetState = 250,
   /// FaultInjector::mu_ — fault schedule table (leaf under net/wal paths).
@@ -140,6 +149,7 @@ enum class LockRank : std::uint16_t {
     case LockRank::kServerQueue: return "kServerQueue";
     case LockRank::kSession: return "kSession";
     case LockRank::kTransport: return "kTransport";
+    case LockRank::kTransportConn: return "kTransportConn";
     case LockRank::kObsExporter: return "kObsExporter";
     case LockRank::kObsRegistry: return "kObsRegistry";
     case LockRank::kOnlineCertCtl: return "kOnlineCertCtl";
@@ -161,6 +171,7 @@ enum class LockRank : std::uint16_t {
     case LockRank::kWal: return "kWal";
     case LockRank::kAdmission: return "kAdmission";
     case LockRank::kNetInbox: return "kNetInbox";
+    case LockRank::kSimTransport: return "kSimTransport";
     case LockRank::kNetState: return "kNetState";
     case LockRank::kFault: return "kFault";
     case LockRank::kTraceRegistry: return "kTraceRegistry";

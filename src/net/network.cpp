@@ -122,8 +122,11 @@ std::optional<Message> SimNetwork::receive_matching(
     const auto now = Clock::now();
     Clock::time_point earliest = deadline;
     for (auto it = inbox.messages.begin(); it != inbox.messages.end(); ++it) {
-      if (!pred(it->msg)) continue;
-      if (it->deliver_at <= now) {
+      if (it->deliver_at > now) {
+        if (it->deliver_at < earliest) earliest = it->deliver_at;
+        continue;
+      }
+      if (pred(it->msg)) {
         Message m = std::move(it->msg);
         inbox.messages.erase(it);
         {
@@ -134,7 +137,6 @@ std::optional<Message> SimNetwork::receive_matching(
                      0, 0, m.id);
         return m;
       }
-      if (it->deliver_at < earliest) earliest = it->deliver_at;
     }
     if (now >= deadline) return std::nullopt;
     inbox.cv.wait_until(lock, earliest);
@@ -145,6 +147,23 @@ std::optional<Message> SimNetwork::receive_request(
     SiteId site, std::chrono::milliseconds timeout) {
   return receive_matching(site, timeout,
                           [](const Message& m) { return !m.is_reply(); });
+}
+
+std::optional<Message> SimNetwork::receive_request_if(
+    SiteId site, std::chrono::milliseconds timeout,
+    const std::function<bool(const Message&)>& claim) {
+  return receive_matching(site, timeout, [&claim](const Message& m) {
+    return !m.is_reply() && claim(m);
+  });
+}
+
+void SimNetwork::wake(SiteId site) {
+  assert(site < inboxes_.size());
+  Inbox& inbox = *inboxes_[site];
+  // Taking the lock orders this wake after any scan in progress: that
+  // receiver is either waiting by now or scans again after us.
+  { std::lock_guard lock(inbox.mu); }
+  inbox.cv.notify_all();
 }
 
 std::optional<Message> SimNetwork::receive_reply(

@@ -61,6 +61,20 @@ class SimNetwork {
   std::optional<Message> receive_request(SiteId site,
                                          std::chrono::milliseconds timeout);
 
+  /// Next deliverable request addressed to `site` that `claim` accepts.
+  /// `claim` runs under the inbox lock, only on requests that are already
+  /// deliverable, in inbox order; the first one it returns true for is
+  /// popped and returned.  A claim may also record that it took the
+  /// message: the record and the pop happen under the one lock.
+  std::optional<Message> receive_request_if(
+      SiteId site, std::chrono::milliseconds timeout,
+      const std::function<bool(const Message&)>& claim);
+
+  /// Make every receiver blocked on `site` look at its inbox again (a
+  /// claim's answer changed).  No wakeup is lost to a receiver that is
+  /// between its scan and its wait.
+  void wake(SiteId site);
+
   /// Next deliverable *reply* to request id `correlation` addressed to
   /// `site`.  Other messages are left queued.
   std::optional<Message> receive_reply(SiteId site, std::uint64_t correlation,
@@ -114,6 +128,8 @@ class SimNetwork {
   };
 
   // Wait until a message matching `pred` is deliverable; pop and return it.
+  // `pred` is asked only about deliverable messages, and a true answer pops
+  // that message at once.
   std::optional<Message> receive_matching(
       SiteId site, std::chrono::milliseconds timeout,
       const std::function<bool(const Message&)>& pred);

@@ -56,18 +56,10 @@ std::size_t AtpServer::active_sessions() const {
 void AtpServer::stop() {
   // Serialize the whole shutdown: join() on the same std::thread from two
   // callers is UB, so a second stop() blocks here until the first finishes
-  // and then sees stopping_ already set.
+  // and then sees stopping_ already set.  Each thread sees the flag within
+  // one poll_interval, or when it finishes the request it is executing.
   std::lock_guard stop_lock(stop_mu_);
-  {
-    // Set the flag and notify under queue_mu_: a thread that has checked
-    // stopping_ but not yet blocked holds queue_mu_, so it either sees the
-    // flag or is already waiting when notify_all runs.  Setting it outside
-    // the lock loses that wakeup and join() hangs.  The poller sees the
-    // flag within one poll_interval.
-    std::lock_guard queue_lock(queue_mu_);
-    if (stopping_.exchange(true)) return;
-    queue_cv_.notify_all();
-  }
+  if (stopping_.exchange(true)) return;
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
   }
@@ -102,9 +94,8 @@ void AtpServer::serve() {
   bool more = false;                  // ... and has more requests queued
   for (;;) {
     std::optional<Work> work;
-    bool pass_on = false;
     {
-      std::unique_lock lock(queue_mu_);
+      std::lock_guard lock(queue_mu_);
       if (finished) {
         --executing_;
         // Behind the sessions already waiting: a pipeliner gets no more
@@ -112,59 +103,41 @@ void AtpServer::serve() {
         if (more) ready_.push_back(std::move(finished));
         finished.reset();
       }
-      for (;;) {
-        if (stopping_.load(std::memory_order_acquire)) return;
-        work = take_queued_locked();
-        if (work) break;
-        if (!poller_busy_) {
-          poller_busy_ = true;
-          break;
-        }
-        queue_cv_.wait(lock);
-      }
-      // A wakeup meant for the vacant poller role, or for more queued work,
-      // may have landed here; hand it on.
-      pass_on = work && (!poller_busy_ || runnable_locked());
+      if (stopping_.load(std::memory_order_acquire)) return;
+      work = take_queued_locked();
     }
-    if (pass_on) queue_cv_.notify_one();
-    if (!work) work = poll_for_request();
-    if (!work) return;  // stopping
+    if (!work) work = take_polled();
+    if (!work) continue;
     more = run(*work);
     finished = std::move(work->session);
   }
 }
 
-std::optional<AtpServer::Work> AtpServer::poll_for_request() {
-  std::vector<std::shared_ptr<Session>> fed;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    for (const TransportEvent& ev : transport_->poll(opts_.poll_interval)) {
-      std::shared_ptr<Session> s = handle_event(ev);
-      if (s && (fed.empty() || fed.back() != s)) fed.push_back(std::move(s));
-    }
-    if (fed.empty()) continue;
-    std::optional<Work> work;
-    bool wake_all = false;
-    {
-      std::lock_guard lock(queue_mu_);
-      // Sessions wait here only while every executor slot is busy (or until
-      // a follower woken for them arrives), so while a slot is free the
-      // front session is normally the one just read.
-      for (std::shared_ptr<Session>& s : fed) ready_.push_back(std::move(s));
-      work = take_queued_locked();
-      if (work) {
-        poller_busy_ = false;
-        wake_all = runnable_locked();
-      }
-    }
-    fed.clear();
-    if (!work) continue;  // saturated, or only partial frames: keep polling
-    if (wake_all) {
-      queue_cv_.notify_all();
-    } else {
-      queue_cv_.notify_one();  // a follower takes over polling
-    }
-    return work;
+std::optional<AtpServer::Work> AtpServer::take_polled() {
+  // One connection's events (the sim backend may hand over an accept with
+  // the first bytes); a kClosed after its data leaves nothing to run.
+  std::shared_ptr<Session> s;
+  for (const TransportEvent& ev : transport_->poll(opts_.poll_interval)) {
+    s = handle_event(ev);
   }
+  if (!s) return std::nullopt;
+  {
+    std::lock_guard lock(queue_mu_);
+    if (executing_ < max_executing_) {
+      // A free slot means nothing waits in ready_ (a finishing thread
+      // drains it first), so the request just read goes first.  An empty
+      // result is a partial frame, or a session another thread is
+      // executing, whose finish_one() requeues it.
+      std::optional<Session::NextRequest> req = s->take_next();
+      if (req.has_value()) {
+        ++executing_;
+        return Work{std::move(s), std::move(*req), /*rearm=*/true};
+      }
+    } else {
+      ready_.push_back(s);
+    }
+  }
+  transport_->rearm(s->conn());
   return std::nullopt;
 }
 
@@ -187,7 +160,7 @@ std::shared_ptr<Session> AtpServer::handle_event(const TransportEvent& ev) {
         return nullptr;
       }
       ServerCounters::bump(sessions_accepted_);
-      return nullptr;
+      return s;  // re-armed by the caller: its bytes may come in now
     }
     case TransportEvent::Kind::kData: {
       std::shared_ptr<Session> s;
@@ -239,6 +212,7 @@ bool AtpServer::run(const Work& w) {
           std::chrono::steady_clock::now() - exec_start)
           .count();
   transport_->send(s.conn(), reply);
+  if (w.rearm) transport_->rearm(s.conn());
   record_request(s, w.req, info, exec_us);
   return s.finish_one();
 }

@@ -1,32 +1,33 @@
 // AtpServer: the network front-end tying transport, sessions, admission,
 // and the database together.
 //
-// Threading: a leader/followers loop.  `workers + 1` identical threads run
-// serve(); none is dedicated to polling.  At any moment one of them holds
-// the poller role: it owns the Transport's poll()/close(), accepts
-// connections into Session objects, feeds incoming bytes through each
-// session's frame decoder, and drops sessions whose connection died or went
-// bad.  Feeding is therefore serialized no matter which thread polls, so
-// per-connection byte order holds on both backends.
+// Threading: one-shot delivery.  `workers + 1` identical threads run
+// serve(), and every idle one blocks in Transport::poll at once.  The
+// transport hands each poll at most one connection's events and holds that
+// connection's later bytes until the thread that took them re-arms it
+// (transport.h), so a session is fed by one thread at a time, in stream
+// order, on both backends -- no role passes between threads, and no thread
+// wakes another to take a request.
 //
-// The reader executes.  When the poller has parsed a request and fewer than
-// `workers` requests are executing, it passes the poller role to an idle
-// thread (one notify, no waiting), executes the request itself and replies
-// through Transport::send, which is thread-safe on both backends.  A
-// request never crosses to another thread on that path.
+// The reader executes.  The thread that receives a connection's data feeds
+// it through the session's frame decoder; if an executor slot is free it
+// executes the request itself, replies through Transport::send, and only
+// then re-arms the connection.  Accepts, closes and protocol errors are
+// handled by whichever thread receives them.
 //
 // Why `workers + 1` threads and not `workers`: a request may legitimately
 // block for the full lock timeout (2s by default), and the accept/read loop
 // must keep breathing under that.  When `workers` requests are executing,
-// the poller queues newly fed sessions instead of executing them and keeps
-// polling, so a lock holder's disconnect (which releases the lock the
-// executors wait on), a new accept or a window reject is still serviced
-// while every executor is blocked.  With only `workers` threads the last
-// one to pick up a request would leave nobody polling.
+// a thread that is fed a request queues the session and re-arms its
+// connection at once instead of executing, so a lock holder's disconnect
+// (which releases the lock the executors wait on), a new accept or a window
+// reject is still serviced while every executor is blocked.  With only
+// `workers` threads the last one to pick up a request would leave nobody
+// polling.
 //
-// A thread that finishes a request takes a queued session before it goes
-// idle or polls.  A session with more pipelined requests is requeued behind
-// the sessions already waiting, so one chatty pipeliner cannot monopolize a
+// A thread that finishes a request takes a queued session before it polls
+// again.  A session with more pipelined requests is requeued behind the
+// sessions already waiting, so one chatty pipeliner cannot monopolize a
 // thread.  Each session is executed by at most one thread at a time
 // (Session::take_next marks it busy), so per-connection request order is
 // preserved while different connections run in parallel.
@@ -37,7 +38,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -79,7 +79,7 @@ struct ServerOptions {
   std::vector<ClassPolicy> classes;
   /// Optional registry: srv.* counters, session gauge, admission tallies.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Poller wakeup cadence (also the stop() latency bound).
+  /// Longest a thread blocks in Transport::poll (the stop() latency bound).
   std::chrono::milliseconds poll_interval{50};
   /// Connections past this are closed at accept.
   std::size_t max_sessions = 1024;
@@ -119,30 +119,27 @@ class AtpServer {
   struct Work {
     std::shared_ptr<Session> session;
     Session::NextRequest req;
+    bool rearm = false;  ///< this thread owns the connection: re-arm it
   };
 
-  /// Body of every server thread: execute queued work, else hold the
-  /// poller role, else wait.
+  /// Body of every server thread: execute queued work, else poll.
   void serve();
-  /// Poller role: poll until a fed request can execute on this thread, then
-  /// pass the role on and return it.  std::nullopt once stopping.
-  std::optional<Work> poll_for_request();
-  /// Accept, feed or drop for one transport event (poller only).  Returns
-  /// the session that was fed and stays open.
+  /// One poll: accept, feed or drop one connection.  Returns the fed
+  /// request when a slot is free to execute it here; otherwise queues the
+  /// session (all slots busy) and re-arms its connection.
+  std::optional<Work> take_polled();
+  /// Accept, feed or drop for one transport event.  Returns the session
+  /// that was opened or fed and stays open.
   std::shared_ptr<Session> handle_event(const TransportEvent& ev);
   /// queue_mu_ held: pop queued sessions until one yields a request and
   /// claim an executor slot for it; std::nullopt when none can run now.
   std::optional<Work> take_queued_locked();
-  /// queue_mu_ held: a free executor slot and a queued session.
-  [[nodiscard]] bool runnable_locked() const {
-    return executing_ < max_executing_ && !ready_.empty();
-  }
   /// Execute, reply, record; true when the session has more queued.
   bool run(const Work& w);
   /// Latency histogram + slow-request log for one finished request.
   void record_request(const Session& s, const Session::NextRequest& req,
                       const Session::ExecInfo& info, std::int64_t exec_us);
-  /// Poller: tear down and forget the session for `conn`.
+  /// Tear down and forget the session for `conn`.
   void drop_session(ConnId conn);
 
   Database& db_;
@@ -159,11 +156,9 @@ class AtpServer {
   std::unordered_map<ConnId, std::shared_ptr<Session>> sessions_;
 
   OrderedMutex<LockRank::kServerQueue> queue_mu_;  ///< rank kServerQueue
-  OrderedCondVar queue_cv_;
   // Guarded by queue_mu_.
   std::deque<std::shared_ptr<Session>> ready_;  ///< fed while saturated
   std::size_t executing_ = 0;  ///< threads holding a taken request
-  bool poller_busy_ = false;   ///< some thread holds the poller role
   std::size_t max_executing_ = 1;  ///< opts_.workers, at least 1
 
   std::atomic<bool> stopping_{false};

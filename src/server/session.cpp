@@ -40,7 +40,7 @@ Session::FeedResult Session::feed(std::string_view bytes) {
         cls_ != nullptr ? cls_->window : kPreHelloWindow;
     if (pending_.size() + (executing_ ? 1 : 0) >= window) {
       // Backpressure: the class's in-flight window is full.  Answer now
-      // (from the poller) rather than queueing unboundedly.
+      // (from the feeding thread) rather than queueing unboundedly.
       ServerCounters::bump(counters_.window_rejects);
       encode_frame(error_reply(*msg, Status::Unavailable(
                                          "in-flight window full")),

@@ -16,15 +16,15 @@
 // synchronous client never notices; a pipelining client gets pushback
 // proportional to what its class bought.
 //
-// Threading: feed() runs on whichever server thread holds the poller role
-// (one at a time, so the decoder sees the stream in order); take_next(),
-// execute() and finish_one() run on the thread that will execute the
-// request -- usually that same poller, which then hands the role on.  At
-// most one thread executes a session at a time (take_next marks it busy;
-// the server's per-session serial-dispatch guarantee); the internal mutex
-// covers the small shared state between feeding and executing.  Txn
-// objects themselves are touched only inside execute() and close(), which
-// the server never overlaps.
+// Threading: feed() runs on the server thread the transport delivered the
+// connection's bytes to (one at a time, until it re-arms the connection, so
+// the decoder sees the stream in order); take_next(), execute() and
+// finish_one() run on the thread that will execute the request -- usually
+// that same thread.  At most one thread executes a session at a time
+// (take_next marks it busy; the server's per-session serial-dispatch
+// guarantee); the internal mutex covers the small shared state between
+// feeding and executing.  Txn objects themselves are touched only inside
+// execute() and close(), which the server never overlaps.
 #pragma once
 
 #include <chrono>
@@ -79,14 +79,14 @@ class Session {
 
   [[nodiscard]] ConnId conn() const noexcept { return conn_; }
 
-  /// Outcome of feeding bytes: replies the poller must send now
+  /// Outcome of feeding bytes: replies the feeding thread must send now
   /// (window pushback), and whether the connection must be dropped.
   struct FeedResult {
     std::string immediate_replies;  ///< encoded frames; may be empty
     bool fatal = false;             ///< protocol error: drop the connection
   };
 
-  /// Parse incoming bytes into the request queue (poller).
+  /// Parse incoming bytes into the request queue (the connection's owner).
   [[nodiscard]] FeedResult feed(std::string_view bytes);
 
   /// A dequeued request plus how long it sat behind earlier requests --
@@ -116,8 +116,9 @@ class Session {
   [[nodiscard]] bool finish_one();
 
   /// Tear down: abort live transactions, release grants.  Idempotent.
-  /// Poller, or the server at stop (never concurrently with execute: a close
-  /// during execute defers teardown to that thread's finish_one()).
+  /// Connection owner, or the server at stop (never concurrently with
+  /// execute: a close during execute defers teardown to that thread's
+  /// finish_one()).
   void close();
 
   [[nodiscard]] bool closed() const {
@@ -170,7 +171,7 @@ class Session {
   mutable OrderedMutex<LockRank::kSession> mu_;  // rank kSession; guards state_/cls_/pending_/executing_
   State state_ = State::AwaitHello;
   const ClassPolicy* cls_ = nullptr;
-  FrameReader reader_;                 // poller only
+  FrameReader reader_;                 // feeding thread only
   std::deque<Pending> pending_;
   bool executing_ = false;
   bool cleaned_ = false;  ///< teardown already ran (close is idempotent)

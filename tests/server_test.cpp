@@ -4,16 +4,22 @@
 // SimNetwork backend -- so session behaviour (handshake, admission grants,
 // disconnect teardown, budget release) is tested without sockets; one suite
 // drives the real TcpTransport end-to-end with concurrent clients.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -51,6 +57,52 @@ bool eventually(const std::function<bool()>& pred,
 
 Client sim_client(SimNetwork& net, SiteId site) {
   return Client(std::make_unique<SimByteChannel>(net, site, kServerSite));
+}
+
+/// A loopback client socket with a small receive buffer, so that replies it
+/// does not read back up into the server's write queue quickly.  Blocking
+/// reads time out after 2s.
+int connect_small_rcvbuf(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  timeval tv{};
+  tv.tv_sec = 2;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Read frames from `ch` into `out` until it holds `n` of them or 5s pass.
+void await_frames(ByteChannel& ch, FrameReader& reader,
+                  std::vector<WireMessage>& out, std::size_t n) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (out.size() < n && std::chrono::steady_clock::now() < deadline) {
+    while (auto r = reader.next()) out.push_back(std::move(*r));
+    if (out.size() >= n) break;
+    if (auto bytes = ch.recv(100ms)) reader.feed(*bytes);
+  }
+}
+
+/// Poll until a non-empty batch arrives or `limit` passes.
+std::vector<TransportEvent> poll_some(Transport& t,
+                                      std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  for (;;) {
+    std::vector<TransportEvent> evs = t.poll(20ms);
+    if (!evs.empty() || std::chrono::steady_clock::now() >= deadline) {
+      return evs;
+    }
+  }
 }
 
 TEST(Server, HappyPathOverSimNetwork) {
@@ -402,14 +454,6 @@ TEST(Server, PipelinedRequestsKeepOrderAcrossWorkers) {
   ASSERT_TRUE(ch.ok());
   FrameReader reader;
   std::vector<WireMessage> replies;
-  auto await_replies = [&](std::size_t n) {
-    const auto deadline = std::chrono::steady_clock::now() + 5s;
-    while (replies.size() < n && std::chrono::steady_clock::now() < deadline) {
-      while (auto r = reader.next()) replies.push_back(std::move(*r));
-      if (replies.size() >= n) break;
-      if (auto bytes = ch.recv(100ms)) reader.feed(*bytes);
-    }
-  };
 
   // Hello first: before it executes the session has the pre-hello window.
   WireMessage hello;
@@ -417,7 +461,7 @@ TEST(Server, PipelinedRequestsKeepOrderAcrossWorkers) {
   hello.seq = 1;
   hello.text = "gold";
   ASSERT_TRUE(ch.send_bytes(encode_frame(hello)));
-  await_replies(1);
+  await_frames(ch, reader, replies, 1);
   ASSERT_EQ(replies.size(), 1u);
   ASSERT_EQ(replies[0].kind, MsgKind::kHelloOk);
 
@@ -454,7 +498,7 @@ TEST(Server, PipelinedRequestsKeepOrderAcrossWorkers) {
   encode_frame(commit, &burst);
   ASSERT_TRUE(ch.send_bytes(burst));
 
-  await_replies(std::size_t(seq));
+  await_frames(ch, reader, replies, std::size_t(seq));
   ASSERT_EQ(replies.size(), std::size_t(seq));
   for (std::size_t i = 0; i < replies.size(); ++i) {
     EXPECT_EQ(replies[i].seq, std::uint64_t(i + 1)) << "reply " << i;
@@ -489,7 +533,11 @@ TEST(Transport, TcpDataThenFinYieldsDataThenClosed) {
   while (std::chrono::steady_clock::now() < deadline &&
          (seen.empty() ||
           seen.back().kind != TransportEvent::Kind::kClosed)) {
-    for (TransportEvent& ev : t.poll(20ms)) seen.push_back(std::move(ev));
+    for (TransportEvent& ev : t.poll(20ms)) {
+      // Done with this delivery: let the connection's next activity in.
+      if (ev.kind != TransportEvent::Kind::kClosed) t.rearm(ev.conn);
+      seen.push_back(std::move(ev));
+    }
   }
   ASSERT_FALSE(seen.empty());
   EXPECT_EQ(seen.front().kind, TransportEvent::Kind::kAccept);
@@ -502,12 +550,341 @@ TEST(Transport, TcpDataThenFinYieldsDataThenClosed) {
   EXPECT_EQ(data, payload);
 }
 
+TEST(Server, PipeliningTcpClientsAreFedByOneThreadAtATime) {
+  // Several clients pipeline bursts whose frames are cut into small pieces
+  // and written one piece per send, so a burst reaches the server as many
+  // deliveries.  Were a connection's bytes ever fed by two threads at once
+  // the frame decoder would tear (a protocol error) or replies would leave
+  // out of order; neither may happen.
+  Database db(DatabaseOptions{});
+  obs::MetricsRegistry reg;
+  ServerOptions so;
+  so.workers = 4;
+  so.metrics = &reg;
+  AtpServer srv(db, std::make_unique<TcpTransport>(0), std::move(so));
+  ASSERT_TRUE(srv.ok());
+
+  constexpr std::size_t kClients = 4, kRounds = 10, kBurst = 32, kPiece = 13;
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    threads.emplace_back([&] {
+      TcpByteChannel ch("127.0.0.1", srv.port());
+      ASSERT_TRUE(ch.ok());
+      FrameReader reader;
+      std::vector<WireMessage> replies;
+      WireMessage hello;
+      hello.kind = MsgKind::kHello;
+      hello.seq = 1;
+      hello.text = "gold";
+      ASSERT_TRUE(ch.send_bytes(encode_frame(hello)));
+      await_frames(ch, reader, replies, 1);
+      ASSERT_EQ(replies.size(), 1u);
+      ASSERT_EQ(replies[0].kind, MsgKind::kHelloOk);
+      std::uint64_t seq = 1;
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        std::string burst;
+        for (std::size_t k = 0; k < kBurst; ++k) {
+          WireMessage ping;
+          ping.kind = MsgKind::kPing;
+          ping.seq = ++seq;
+          encode_frame(ping, &burst);
+        }
+        for (std::size_t off = 0; off < burst.size(); off += kPiece) {
+          ASSERT_TRUE(ch.send_bytes(std::string_view(burst).substr(off, kPiece)));
+        }
+        await_frames(ch, reader, replies, std::size_t(seq));
+        ASSERT_EQ(replies.size(), std::size_t(seq)) << "round " << round;
+      }
+      for (std::size_t k = 0; k < replies.size(); ++k) {
+        EXPECT_EQ(replies[k].seq, std::uint64_t(k + 1)) << "reply " << k;
+        if (k > 0) {
+          EXPECT_EQ(replies[k].kind, MsgKind::kOk) << "reply " << k;
+        }
+      }
+      ch.close();
+    });
+  }
+  for (auto& t : threads) t.join();
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.find("srv.protocol_errors")->value, 0.0);
+  EXPECT_EQ(snap.find("srv.window_rejects")->value, 0.0);
+  EXPECT_EQ(snap.find("srv.requests")->value,
+            double(kClients * (1 + kRounds * kBurst)));
+  srv.stop();
+}
+
+TEST(Server, HelloRightAfterConnectIsNeverLost) {
+  // A new connection enters epoll only once its session exists, so bytes
+  // sent the moment connect() returns wait in the socket for it; none may
+  // be dropped or reach a connection the server does not know yet.
+  Database db(DatabaseOptions{});
+  obs::MetricsRegistry reg;
+  ServerOptions so;
+  so.workers = 2;
+  so.metrics = &reg;
+  AtpServer srv(db, std::make_unique<TcpTransport>(0), std::move(so));
+  ASSERT_TRUE(srv.ok());
+  constexpr int kCycles = 200;
+  WireMessage hello;
+  hello.kind = MsgKind::kHello;
+  hello.seq = 1;
+  hello.text = "silver";
+  const std::string frame = encode_frame(hello);
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    TcpByteChannel ch("127.0.0.1", srv.port());
+    ASSERT_TRUE(ch.ok());
+    ASSERT_TRUE(ch.send_bytes(frame));
+    FrameReader reader;
+    std::vector<WireMessage> replies;
+    await_frames(ch, reader, replies, 1);
+    ASSERT_EQ(replies.size(), 1u) << "cycle " << cycle;
+    ASSERT_EQ(replies[0].kind, MsgKind::kHelloOk) << "cycle " << cycle;
+    ch.close();
+  }
+  EXPECT_TRUE(eventually([&] { return srv.active_sessions() == 0; }));
+  EXPECT_EQ(reg.snapshot().find("srv.sessions.accepted")->value,
+            double(kCycles));
+  srv.stop();
+}
+
+TEST(Server, QueuedSessionOverflowingItsSocketIsEvictedOnce) {
+  // P pipelines requests whose replies are ~60 KB each and never reads
+  // them.  They queue behind B, which holds the only executor slot waiting
+  // on H's lock, so when H leaves they run on a thread that does not own
+  // P's connection.  The replies overflow P's socket and then the server's
+  // write queue: P must be evicted once, and everyone else keeps working.
+  Database db(DatabaseOptions{});
+  db.load(5, 100);
+  obs::MetricsRegistry reg;
+  ServerOptions so;
+  so.workers = 1;
+  so.metrics = &reg;
+  so.classes = {{"bronze", 100000, kInfiniteLimit, 16},
+                {"wide", 0, kInfiniteLimit, 256}};
+  AtpServer srv(db, std::make_unique<TcpTransport>(0), std::move(so));
+  ASSERT_TRUE(srv.ok());
+
+  const int p = connect_small_rcvbuf(srv.port());
+  ASSERT_GE(p, 0);
+  {
+    WireMessage hello;
+    hello.kind = MsgKind::kHello;
+    hello.seq = 1;
+    hello.text = "wide";
+    ASSERT_TRUE(send_all(p, encode_frame(hello)));
+    FrameReader reader;
+    std::optional<WireMessage> ok;
+    char buf[512];
+    while (!ok.has_value()) {
+      const ssize_t n = ::recv(p, buf, sizeof buf, 0);
+      ASSERT_GT(n, 0);
+      reader.feed(std::string_view(buf, std::size_t(n)));
+      ok = reader.next();
+    }
+    ASSERT_EQ(ok->kind, MsgKind::kHelloOk);
+  }
+
+  Client h(std::make_unique<TcpByteChannel>("127.0.0.1", srv.port()));
+  ASSERT_TRUE(h.hello("bronze").ok());
+  auto th = h.begin(TxnKind::Update);
+  ASSERT_TRUE(th.ok());
+  ASSERT_TRUE(h.add(th.value(), 5, -10).ok());
+  Client b(std::make_unique<TcpByteChannel>("127.0.0.1", srv.port()));
+  ASSERT_TRUE(b.hello("bronze").ok());
+  auto tb = b.begin(TxnKind::Update);
+  ASSERT_TRUE(tb.ok());
+  std::future<Status> blocked = std::async(
+      std::launch::async, [&] { return b.add(tb.value(), 5, +1); });
+  ASSERT_EQ(blocked.wait_for(200ms), std::future_status::timeout);
+
+  // An unknown class name is echoed in the error reply: a big request
+  // makes a big reply.
+  constexpr std::size_t kRequests = 200;
+  WireMessage big;
+  big.kind = MsgKind::kHello;
+  big.text = std::string(60000, 'x');
+  std::string burst;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    big.seq = 2 + i;
+    encode_frame(big, &burst);
+  }
+  ASSERT_TRUE(send_all(p, burst));
+  std::this_thread::sleep_for(100ms);  // let the server read it all
+
+  h.close();
+  const Status added = blocked.get();
+  ASSERT_TRUE(added.ok()) << added.to_string();
+  ASSERT_TRUE(b.commit(tb.value()).ok());
+  EXPECT_EQ(db.store().read_committed(5).value(), 101);
+
+  // P's replies run until its write queue passes kMaxWriteBuffer; then the
+  // connection is shut down and its session dropped.
+  EXPECT_TRUE(eventually(
+      [&] {
+        return reg.snapshot().find("srv.sessions.closed")->value >= 2.0;
+      },
+      5000ms));
+  EXPECT_EQ(srv.active_sessions(), 1u);
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.find("srv.sessions.accepted")->value, 3.0);
+  EXPECT_EQ(snap.find("srv.sessions.closed")->value, 2.0);  // H and P
+  EXPECT_EQ(snap.find("srv.protocol_errors")->value, 0.0);
+  const double executed =
+      double(snap.find("srv.request_latency.wide")->summary.count);
+  EXPECT_GT(executed * double(big.text.size()),
+            double(TcpTransport::kMaxWriteBuffer));
+  // P sees the connection end after at most what the kernel held for it.
+  std::size_t received = 0;
+  char buf[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::recv(p, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    received += std::size_t(n);
+  }
+  EXPECT_LT(received, kRequests * big.text.size());
+  ::close(p);
+
+  EXPECT_TRUE(b.ping().ok());  // the server is still serving
+  b.close();
+  srv.stop();
+}
+
+TEST(Transport, TcpHoldsAConnectionsBytesUntilRearm) {
+  // One-shot delivery: the thread that took a connection's bytes is its
+  // only reader until it re-arms it, however much more arrives meanwhile.
+  TcpTransport t(0);
+  ASSERT_TRUE(t.ok());
+  const int fd = connect_tcp("127.0.0.1", t.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "a1"));  // before the server has re-armed it
+  std::vector<TransportEvent> evs = poll_some(t, 2s);
+  ASSERT_EQ(evs.size(), 1u);
+  ASSERT_EQ(evs[0].kind, TransportEvent::Kind::kAccept);
+  const ConnId conn = evs[0].conn;
+  EXPECT_TRUE(t.poll(30ms).empty());  // not in epoll until the first rearm
+  t.rearm(conn);
+  evs = poll_some(t, 2s);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].kind, TransportEvent::Kind::kData);
+  EXPECT_EQ(evs[0].data, "a1");
+
+  ASSERT_TRUE(send_all(fd, "a2"));
+  EXPECT_TRUE(t.poll(30ms).empty());
+  // The owner may still reply; that does not let the bytes in either.
+  EXPECT_TRUE(t.send(conn, "reply"));
+  EXPECT_TRUE(t.poll(30ms).empty());
+  t.rearm(conn);
+  evs = poll_some(t, 2s);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].kind, TransportEvent::Kind::kData);
+  EXPECT_EQ(evs[0].data, "a2");
+  ::close(fd);
+}
+
+TEST(Transport, TcpEvictionIsDeliveredOnceAsClosed) {
+  // Replies to an armed connection (no owner: its session is queued) that
+  // its peer never reads: once the write queue passes kMaxWriteBuffer the
+  // connection is evicted, and exactly one of two concurrent pollers
+  // receives exactly one kClosed for it.
+  TcpTransport t(0);
+  ASSERT_TRUE(t.ok());
+  const int fd = connect_small_rcvbuf(t.port());
+  ASSERT_GE(fd, 0);
+  std::vector<TransportEvent> first = poll_some(t, 2s);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(first[0].kind, TransportEvent::Kind::kAccept);
+  const ConnId conn = first[0].conn;
+  t.rearm(conn);
+
+  std::atomic<bool> done{false};
+  std::mutex seen_mu;
+  std::vector<TransportEvent> seen;
+  std::vector<std::thread> pollers;
+  for (int i = 0; i < 2; ++i) {
+    pollers.emplace_back([&] {
+      while (!done.load()) {
+        for (TransportEvent& ev : t.poll(10ms)) {
+          if (ev.kind != TransportEvent::Kind::kClosed) t.rearm(ev.conn);
+          std::lock_guard lock(seen_mu);
+          seen.push_back(std::move(ev));
+        }
+      }
+    });
+  }
+  const std::string chunk(64 * 1024, 'r');
+  std::size_t accepted = 0;
+  while (t.send(conn, chunk)) accepted += chunk.size();
+  EXPECT_GE(accepted, TcpTransport::kMaxWriteBuffer - chunk.size());
+  EXPECT_FALSE(t.send(conn, "late"));
+  EXPECT_TRUE(eventually([&] {
+    std::lock_guard lock(seen_mu);
+    return !seen.empty();
+  }));
+  std::this_thread::sleep_for(100ms);  // room for a second delivery
+  done = true;
+  for (auto& th : pollers) th.join();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].kind, TransportEvent::Kind::kClosed);
+  EXPECT_EQ(seen[0].conn, conn);
+  ::close(fd);
+}
+
+TEST(Transport, SimHoldsAConnectionsMessagesUntilRearm) {
+  SimNetwork net(3, fast_net());
+  SimTransport t(net, kServerSite);
+  SimClientChannel a(net, 1, kServerSite);
+  SimClientChannel b(net, 2, kServerSite);
+  using Kind = TransportEvent::Kind;
+
+  a.connect();
+  ASSERT_TRUE(a.send_bytes("a1"));
+  std::vector<TransportEvent> evs = poll_some(t, 1s);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].kind, Kind::kAccept);
+  EXPECT_EQ(evs[0].conn, 1u);
+  // a is owned: its data waits, while another connection gets through.
+  EXPECT_TRUE(t.poll(30ms).empty());
+  b.connect();
+  evs = poll_some(t, 1s);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].kind, Kind::kAccept);
+  EXPECT_EQ(evs[0].conn, 2u);
+
+  t.rearm(1);
+  evs = poll_some(t, 1s);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].kind, Kind::kData);
+  EXPECT_EQ(evs[0].data, "a1");
+
+  ASSERT_TRUE(a.send_bytes("a2"));
+  a.close();
+  EXPECT_TRUE(t.poll(30ms).empty());
+  // A poller already blocked wakes as soon as the owner re-arms.
+  const auto t0 = std::chrono::steady_clock::now();
+  std::future<std::vector<TransportEvent>> waiting =
+      std::async(std::launch::async, [&] { return t.poll(5s); });
+  std::this_thread::sleep_for(20ms);
+  t.rearm(1);
+  evs = waiting.get();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].kind, Kind::kData);
+  EXPECT_EQ(evs[0].data, "a2");
+  // The close stays behind the data.
+  EXPECT_TRUE(t.poll(30ms).empty());
+  t.rearm(1);
+  evs = poll_some(t, 1s);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].kind, Kind::kClosed);
+  EXPECT_EQ(evs[0].conn, 1u);
+}
+
 TEST(Server, RepeatedStartStopNeverHangs) {
-  // stop() must wake every worker parked on the ready queue.  Workers that
-  // have checked their wait predicate but not yet blocked would miss a
-  // notify issued without the queue mutex, and join() would hang; starting
-  // and stopping over and over -- some cycles with a client mid-session --
-  // hits that window.  A watchdog turns a hang into a test failure.
+  // stop() must bring back every server thread, whether it is blocked in
+  // poll or executing.  Starting and stopping over and over -- some cycles
+  // with a client mid-session -- hits the windows where a thread has
+  // checked the stop flag but not yet blocked.  A watchdog turns a hang
+  // into a test failure.
   constexpr int kCycles = 200;
   std::promise<void> finished;
   std::future<void> done = finished.get_future();

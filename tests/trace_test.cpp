@@ -331,7 +331,9 @@ TEST(Tracer, DatabaseLifecycleIsInstrumented) {
   for (const auto& e : events) EXPECT_EQ(e.site, 3u);
   // The write event carries the installed value; the commit follows it.
   for (const auto& e : events) {
-    if (e.kind == TraceKind::Write) EXPECT_EQ(e.a, 11.0);
+    if (e.kind == TraceKind::Write) {
+      EXPECT_EQ(e.a, 11.0);
+    }
   }
 }
 

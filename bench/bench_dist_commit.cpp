@@ -12,11 +12,20 @@
 // Series 2: availability -- a 300 ms participant outage in the middle of a
 //           stream of transfers; how long do clients stall under each
 //           scheme?
+// Series 3: client throughput of the banking mix over two sites.
+//
+// The run exits nonzero unless the shape holds: msgs/txn of 6 / 4 / 4 at
+// every latency; from 5 ms one way up, client latency of 3.5-5x one way for
+// 2PC + validation, 1.5-2.5x for bare 2PC and under 0.5x chopped; the
+// chopped worst stall across the outage under a quarter of 2PC's; chopped
+// throughput over 10x 2PC's at every latency.
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "dist/coordinator.h"
 #include "dist/dist_executor.h"
@@ -30,6 +39,15 @@ namespace {
 
 constexpr Key kX = 1;
 constexpr Key kY = 2;
+
+/// Shape violations found so far; main exits nonzero if any.
+int g_violations = 0;
+
+void expect(bool ok, const std::string& what) {
+  if (ok) return;
+  ++g_violations;
+  std::printf("SHAPE VIOLATION: %s\n", what.c_str());
+}
 
 struct Fleet {
   std::unique_ptr<SimNetwork> net;
@@ -68,7 +86,7 @@ struct Fleet {
 DistTxnSpec transfer(Value amount) {
   DistTxnSpec spec;
   spec.kind = TxnKind::Update;
-  spec.piece_epsilon = 5000;  // the paper's $10,000 / 2
+  spec.limit = 10000;  // the paper's Limit_t, split $5,000 + $5,000
   spec.pieces = {DistPieceSpec{0, {Access::add(kX, -amount, amount)}},
                  DistPieceSpec{1, {Access::add(kY, +amount, amount)}}};
   return spec;
@@ -76,8 +94,10 @@ DistTxnSpec transfer(Value amount) {
 
 void series_latency() {
   std::printf("--- Series 1: commit latency vs one-way network latency ---\n");
+  // Eight transactions per cell: too few for a tail, so each timing is the
+  // median alone, which one scheduling hiccup on a shared host cannot move.
   std::printf("%-12s %-24s %14s %14s %12s\n", "1-way(ms)", "scheme",
-              "client(ms)", "complete(ms)", "msgs/txn");
+              "client p50(ms)", "cmpl p50(ms)", "msgs/txn");
 
   for (const int one_way_ms : {1, 5, 20, 50}) {
     Fleet fleet(std::chrono::microseconds(one_way_ms * 1000));
@@ -87,11 +107,13 @@ void series_latency() {
     struct Scheme {
       const char* name;
       int mode;  // 0 = 2pc+validate, 1 = 2pc, 2 = chopped
+      double msgs;          ///< expected messages per transaction
+      double min_x, max_x;  ///< client latency bounds, x one-way
     };
-    for (const Scheme scheme : {Scheme{"2PC + validation", 0},
-                                Scheme{"2PC", 1},
-                                Scheme{"chopped + queues", 2}}) {
-      double client = 0, complete = 0;
+    for (const Scheme scheme : {Scheme{"2PC + validation", 0, 6, 3.5, 5},
+                                Scheme{"2PC", 1, 4, 1.5, 2.5},
+                                Scheme{"chopped + queues", 2, 4, 0, 0.5}}) {
+      Histogram client_ms, complete_ms;
       fleet.net->reset_stats();
       int ok = 0;
       for (int i = 0; i < kRounds; ++i) {
@@ -101,13 +123,29 @@ void series_latency() {
                 : coord.run_2pc(transfer(100), scheme.mode == 0, 30000ms);
         if (!out.ok()) continue;
         ++ok;
-        client += out.value().client_latency_us / 1000.0;
-        complete += out.value().complete_latency_us / 1000.0;
+        client_ms.record(out.value().client_latency_us / 1000.0);
+        complete_ms.record(out.value().complete_latency_us / 1000.0);
       }
+      const double client = client_ms.summarize().p50;
       const double msgs =
           ok > 0 ? double(fleet.net->stats().sent) / double(ok) : 0;
       std::printf("%-12d %-24s %14.2f %14.2f %12.1f\n", one_way_ms,
-                  scheme.name, client / ok, complete / ok, msgs);
+                  scheme.name, client, complete_ms.summarize().p50, msgs);
+      const std::string cell =
+          std::string(scheme.name) + " at " + std::to_string(one_way_ms) +
+          " ms: ";
+      expect(ok == kRounds, cell + std::to_string(kRounds - ok) +
+                                " transactions failed");
+      expect(msgs == scheme.msgs,
+             cell + std::to_string(msgs) + " msgs/txn, expected " +
+                 std::to_string(scheme.msgs));
+      if (one_way_ms >= 5 && ok > 0) {
+        const double x = client / one_way_ms;
+        expect(x >= scheme.min_x && x <= scheme.max_x,
+               cell + "client latency " + std::to_string(x) +
+                   "x one-way, expected " + std::to_string(scheme.min_x) +
+                   "-" + std::to_string(scheme.max_x) + "x");
+      }
     }
   }
   std::printf(
@@ -123,6 +161,7 @@ void series_availability() {
   std::printf("%-24s %10s %14s %14s\n", "scheme", "txns", "worstClient(ms)",
               "stalled>100ms");
 
+  double worst_of[3] = {0, 0, 0};
   for (const int mode : {0, 2}) {  // 2PC+validation vs chopped
     Fleet fleet(std::chrono::microseconds(2000));
     Coordinator coord(*fleet.ny, fleet.sites);
@@ -161,7 +200,12 @@ void series_availability() {
     std::printf("%-24s %10d %14.1f %14d\n",
                 mode == 0 ? "2PC + validation" : "chopped + queues", txns,
                 worst_ms, stalled);
+    worst_of[mode] = worst_ms;
   }
+  expect(worst_of[2] < worst_of[0] / 4,
+         "chopped worst stall " + std::to_string(worst_of[2]) +
+             " ms is not under a quarter of 2PC's " +
+             std::to_string(worst_of[0]) + " ms");
   std::printf(
       "\nexpected shape: during the outage 2PC clients stall for the whole\n"
       "window (blocked commit protocol); chopped clients keep committing\n"
@@ -174,6 +218,7 @@ void series_throughput() {
   std::printf("%s\n", DistExecutorReport::header().c_str());
 
   for (const int one_way_ms : {2, 10}) {
+    double tps_2pc = 0;
     for (const bool chopped : {false, true}) {
       Fleet fleet(std::chrono::microseconds(one_way_ms * 1000));
       BankingConfig cfg;
@@ -197,6 +242,16 @@ void series_throughput() {
       std::string label = std::to_string(one_way_ms) + "ms " +
                           (chopped ? "chopped" : "2PC+val");
       std::printf("%s\n", report.row(label.c_str()).c_str());
+      if (!chopped) {
+        tps_2pc = report.throughput_tps;
+      } else {
+        expect(report.throughput_tps > 10 * tps_2pc,
+               label + " tps " + std::to_string(report.throughput_tps) +
+                   " is not over 10x 2PC's " + std::to_string(tps_2pc));
+      }
+      expect(report.completed == specs.size(),
+             label + ": " + std::to_string(report.completed) + " of " +
+                 std::to_string(specs.size()) + " completed");
     }
   }
   std::printf(
@@ -214,5 +269,10 @@ int main() {
   series_latency();
   series_availability();
   series_throughput();
+  if (g_violations > 0) {
+    std::printf("\n%d shape violation(s)\n", g_violations);
+    return 1;
+  }
+  std::printf("\nshape check: ok\n");
   return 0;
 }

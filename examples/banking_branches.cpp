@@ -28,10 +28,10 @@ constexpr Key kLaAccount = 200;
 DistTxnSpec transfer(Value amount) {
   DistTxnSpec spec;
   spec.kind = TxnKind::Update;
-  // The paper splits the $10,000 Limit_t evenly across the pieces.  Update
-  // pieces are never charged here (divergence control is import-only), so
-  // only a query chain spends its share.
-  spec.piece_epsilon = 5000;
+  // The paper splits the $10,000 Limit_t evenly across the pieces (the
+  // static policy).  Update pieces are never charged here (divergence
+  // control is import-only), so only a query chain spends its share.
+  spec.limit = 10000;
   spec.pieces = {DistPieceSpec{0, {Access::add(kNyAccount, -amount, amount)}},
                  DistPieceSpec{1, {Access::add(kLaAccount, +amount, amount)}}};
   return spec;
@@ -40,7 +40,7 @@ DistTxnSpec transfer(Value amount) {
 DistTxnSpec both_branch_sum() {
   DistTxnSpec spec;
   spec.kind = TxnKind::Query;
-  spec.piece_epsilon = 5000;  // import budget per piece
+  spec.limit = 10000;  // import budget, $5,000 per piece
   spec.pieces = {DistPieceSpec{0, {Access::read(kNyAccount)}},
                  DistPieceSpec{1, {Access::read(kLaAccount)}}};
   return spec;

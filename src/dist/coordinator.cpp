@@ -3,54 +3,22 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstring>
 #include <functional>
+#include <memory>
 #include <thread>
+#include <unordered_map>
 
 #include "common/stopwatch.h"
+#include "engine/piece_runner.h"
 #include "fault/retry.h"
+#include "wal/continuation.h"
 
 namespace atp {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 std::atomic<std::uint64_t> g_next_gtid{1};
-
-// --- codec primitives (little-endian fixed width) --------------------------
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::string& out, Value v) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v, "Value must be a 64-bit double");
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-bool get_u64(std::string_view& in, std::uint64_t& v) {
-  if (in.size() < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= std::uint64_t(std::uint8_t(in[std::size_t(i)])) << (8 * i);
-  }
-  in.remove_prefix(8);
-  return true;
-}
-
-bool get_f64(std::string_view& in, Value& v) {
-  std::uint64_t bits;
-  if (!get_u64(in, bits)) return false;
-  std::memcpy(&v, &bits, sizeof v);
-  return true;
-}
-
-bool get_u8(std::string_view& in, std::uint8_t& v) {
-  if (in.empty()) return false;
-  v = std::uint8_t(in.front());
-  in.remove_prefix(1);
-  return true;
-}
 
 constexpr const char* kChopQueueUpdate = "chop.update";
 constexpr const char* kChopQueueQuery = "chop.query";
@@ -63,26 +31,21 @@ TxnKind kind_of_chop_queue(const std::string& queue) {
   return queue == kChopQueueQuery ? TxnKind::Query : TxnKind::Update;
 }
 
-// Execute one piece's ops on an open transaction.  OK status or the failure.
-Status execute_ops(Txn& txn, const std::vector<Access>& ops) {
+/// Limit_t's distributor over a chain of `pieces` pieces.  Every piece is
+/// restricted: a site boundary lets each one interleave with any other
+/// transaction.
+std::unique_ptr<LimitDistributor> chain_limits(TxnKind kind, Value limit,
+                                               DistPolicy policy,
+                                               std::size_t pieces) {
+  return make_distributor(
+      policy,
+      ChopPlanInfo::chain(std::vector<bool>(pieces, true), kind, limit));
+}
+
+/// Run `ops` on `txn` up to the first failure.
+Status run_ops(Txn& txn, const std::vector<Access>& ops) {
   for (const Access& op : ops) {
-    switch (op.type) {
-      case AccessType::Read: {
-        Result<Value> v = txn.read(op.item);
-        if (!v.ok()) return v.status();
-        break;
-      }
-      case AccessType::Add: {
-        Status s = txn.add(op.item, op.delta);
-        if (!s.ok()) return s;
-        break;
-      }
-      case AccessType::Write: {
-        Status s = txn.write(op.item, op.delta);
-        if (!s.ok()) return s;
-        break;
-      }
-    }
+    if (Result<Value> r = run_op(txn, op); !r.ok()) return r.status();
   }
   return Status::Ok();
 }
@@ -104,72 +67,18 @@ void dist_record(Site& home, const std::string& name, double v) {
 
 }  // namespace
 
-std::string encode_chop(const ChopContinuation& cont) {
-  std::string out;
-  put_u64(out, cont.gtid);
-  put_f64(out, cont.piece_epsilon);
-  out.push_back(cont.dynamic_epsilon ? 1 : 0);
-  put_u64(out, cont.next);
-  put_u64(out, cont.origin);
-  put_u64(out, cont.pieces.size());
-  for (const DistPieceSpec& p : cont.pieces) {
-    put_u64(out, p.site);
-    put_u64(out, p.ops.size());
-    for (const Access& a : p.ops) {
-      out.push_back(char(std::uint8_t(a.type)));
-      put_u64(out, a.item);
-      put_f64(out, a.bound);
-      put_f64(out, a.delta);
-    }
-  }
-  return out;
-}
-
-std::optional<ChopContinuation> decode_chop(std::string_view bytes) {
-  ChopContinuation cont;
-  std::uint64_t u = 0;
-  std::uint8_t b = 0;
-  if (!get_u64(bytes, cont.gtid)) return std::nullopt;
-  if (!get_f64(bytes, cont.piece_epsilon)) return std::nullopt;
-  if (!get_u8(bytes, b)) return std::nullopt;
-  cont.dynamic_epsilon = b != 0;
-  if (!get_u64(bytes, u)) return std::nullopt;
-  cont.next = std::size_t(u);
-  if (!get_u64(bytes, u)) return std::nullopt;
-  cont.origin = SiteId(u);
-  std::uint64_t npieces = 0;
-  if (!get_u64(bytes, npieces)) return std::nullopt;
-  for (std::uint64_t i = 0; i < npieces; ++i) {
-    DistPieceSpec p;
-    if (!get_u64(bytes, u)) return std::nullopt;
-    p.site = SiteId(u);
-    std::uint64_t nops = 0;
-    if (!get_u64(bytes, nops)) return std::nullopt;
-    for (std::uint64_t j = 0; j < nops; ++j) {
-      Access a;
-      if (!get_u8(bytes, b)) return std::nullopt;
-      if (b > std::uint8_t(AccessType::Write)) return std::nullopt;
-      a.type = AccessType(b);
-      if (!get_u64(bytes, a.item)) return std::nullopt;
-      if (!get_f64(bytes, a.bound)) return std::nullopt;
-      if (!get_f64(bytes, a.delta)) return std::nullopt;
-      p.ops.push_back(a);
-    }
-    cont.pieces.push_back(std::move(p));
-  }
-  if (!bytes.empty()) return std::nullopt;  // trailing garbage
-  return cont;
-}
-
 std::string encode_gtid(std::uint64_t gtid) {
   std::string out;
-  put_u64(out, gtid);
+  for (int i = 0; i < 8; ++i) out.push_back(char((gtid >> (8 * i)) & 0xff));
   return out;
 }
 
 std::optional<std::uint64_t> decode_gtid(std::string_view bytes) {
+  if (bytes.size() != 8) return std::nullopt;
   std::uint64_t gtid = 0;
-  if (!get_u64(bytes, gtid) || !bytes.empty()) return std::nullopt;
+  for (int i = 0; i < 8; ++i) {
+    gtid |= std::uint64_t(std::uint8_t(bytes[std::size_t(i)])) << (8 * i);
+  }
   return gtid;
 }
 
@@ -185,21 +94,25 @@ Result<DistOutcome> Coordinator::run_2pc(
 
   // --- execution phase: one subtransaction per site ------------------------
   // (ops run in-process against each remote Database; the network is charged
-  // only for protocol rounds, which favours the baseline).
+  // only for protocol rounds, which favours the baseline).  Each runs with
+  // the limit limits/ gives its piece, and reports what it drew from it.
+  const auto limits = chain_limits(spec.kind, spec.limit, spec.policy,
+                                   spec.pieces.size());
   std::vector<SiteId> participants;  // remote sites, home excluded
   std::vector<Txn> txns;
   txns.reserve(spec.pieces.size());
-  for (const DistPieceSpec& piece : spec.pieces) {
-    Site* site = sites_[piece.site];
-    Txn txn = site->db().begin(spec.kind,
-                               spec_for(spec.kind, spec.piece_epsilon));
-    Status s = execute_ops(txn, piece.ops);
+  for (std::size_t p = 0; p < spec.pieces.size(); ++p) {
+    const DistPieceSpec& piece = spec.pieces[p];
+    Txn txn = sites_[piece.site]->db().begin(
+        spec.kind, spec_for(spec.kind, limits->limit_for(p)));
+    Status s = run_ops(txn, piece.ops);
     if (!s.ok()) {
       txn.abort();
       for (Txn& t : txns) t.abort();
       dist_count(home_, "dist.2pc.aborted");
       return s;
     }
+    limits->report_committed(p, txn.fuzziness());
     if (piece.site != home_.id()) participants.push_back(piece.site);
     txns.push_back(std::move(txn));
   }
@@ -210,16 +123,20 @@ Result<DistOutcome> Coordinator::run_2pc(
                                                       std::move(txns[i]));
   }
 
-  auto round = [&](const char* type,
-                   std::chrono::milliseconds timeout) -> bool {
-    // One round trip to every participant, retransmitting to the silent
-    // ones until the decision timeout.  A lost or delayed message is NOT a
-    // vote: only an explicit NO (or the deadline) fails the round.  The
-    // per-try wait starts well above a healthy round trip, so retransmits
-    // fire only when something was actually lost.
-    const RetryPolicy policy = RetryPolicy::protocol_round();
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    std::vector<std::uint64_t> correlations(participants.size(), 0);
+  // One round trip to every participant, retransmitting to the silent ones
+  // until `deadline`.  A lost or delayed message is NOT a vote: only an
+  // explicit NO (or the deadline) fails the round.  A reply to any of the
+  // round's sends to a participant answers it, so a retransmit never
+  // orphans the reply already on its way; every other reply of this
+  // transaction (to an earlier round, or to a participant that has
+  // answered) is consumed and dropped.  The per-try wait is at least twice
+  // the longest healthy round trip, so retransmits fire only when a message
+  // was lost or a site is down.
+  const RetryPolicy policy = RetryPolicy::protocol_round();
+  const auto min_try = 2 * home_.net().max_round_trip();
+  auto round = [&](const char* type, Clock::time_point deadline,
+                   const char* retransmit_counter) -> bool {
+    std::unordered_map<std::uint64_t, std::size_t> sent;  // id -> participant
     std::vector<bool> replied(participants.size(), false);
     std::size_t missing = participants.size();
     for (std::uint64_t attempt = 0; missing > 0; ++attempt) {
@@ -230,38 +147,38 @@ Result<DistOutcome> Coordinator::run_2pc(
         m.to = participants[i];
         m.type = type;
         m.gtid = gtid;
-        correlations[i] = home_.net().send(std::move(m));
-        if (attempt > 0) dist_count(home_, "retry.2pc.retransmits");
+        sent.emplace(home_.net().send(std::move(m)), i);
+        if (attempt > 0) dist_count(home_, retransmit_counter);
       }
-      const auto per_try = std::max<std::chrono::milliseconds>(
-          std::chrono::milliseconds(1),
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              policy.delay(attempt + 1, gtid)));
-      for (std::size_t i = 0; i < participants.size(); ++i) {
-        if (replied[i]) continue;
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) return false;
-        const auto wait = std::min(
-            per_try, std::chrono::duration_cast<std::chrono::milliseconds>(
-                         deadline - now));
-        auto reply =
-            home_.net().receive_reply(home_.id(), correlations[i], wait);
-        if (!reply) continue;  // retransmit on the next pass
+      const Clock::duration per_try =
+          std::max<Clock::duration>(min_try, policy.delay(attempt + 1, gtid));
+      const auto try_end = std::min(deadline, Clock::now() + per_try);
+      for (auto now = Clock::now(); missing > 0 && now < try_end;
+           now = Clock::now()) {
+        auto reply = home_.net().receive_reply(
+            home_.id(),
+            std::chrono::ceil<std::chrono::milliseconds>(try_end - now),
+            [gtid](const Message& m) { return m.gtid == gtid; });
+        if (!reply) break;  // retransmit on the next pass
+        const auto it = sent.find(reply->correlation);
+        if (it == sent.end() || replied[it->second]) continue;  // stale
         if (reply->type == "vote" && reply->value == 0) return false;
-        replied[i] = true;
+        replied[it->second] = true;
         --missing;
       }
-      if (std::chrono::steady_clock::now() >= deadline && missing > 0) {
-        return false;
-      }
+      if (missing > 0 && Clock::now() >= deadline) return false;
     }
     return true;
   };
+  auto decision_round = [&](const char* type) {
+    return round(type, Clock::now() + decision_timeout,
+                 "retry.2pc.retransmits");
+  };
 
   // --- prepare round --------------------------------------------------------
-  if (!round("prepare", decision_timeout)) {
+  if (!decision_round("prepare")) {
     // Abort everywhere (best effort; participants also time out locally).
-    round("abort", decision_timeout);
+    decision_round("abort");
     for (Txn& t : txns) t.abort();  // aborts the home piece (moved-out remote
                                     // handles are inert)
     dist_count(home_, "dist.2pc.aborted");
@@ -269,8 +186,8 @@ Result<DistOutcome> Coordinator::run_2pc(
   }
 
   // --- global validation round (the baseline's serialization-order check) --
-  if (validation_round && !round("validate", decision_timeout)) {
-    round("abort", decision_timeout);
+  if (validation_round && !decision_round("validate")) {
+    decision_round("abort");
     for (Txn& t : txns) t.abort();
     dist_count(home_, "dist.2pc.validation_failed");
     dist_count(home_, "dist.2pc.aborted");
@@ -293,31 +210,7 @@ Result<DistOutcome> Coordinator::run_2pc(
 
   // --- commit round: retry until every participant acknowledges ------------
   // (this is where 2PC *blocks* when a participant is down).
-  std::vector<bool> acked(participants.size(), participants.empty());
-  for (std::uint64_t attempt = 0;; ++attempt) {
-    bool all = true;
-    for (std::size_t i = 0; i < participants.size(); ++i) {
-      if (acked[i]) continue;
-      Message m;
-      m.from = home_.id();
-      m.to = participants[i];
-      m.type = "commit";
-      m.gtid = gtid;
-      const std::uint64_t corr = home_.net().send(std::move(m));
-      if (attempt > 0) dist_count(home_, "retry.2pc.commit_retransmits");
-      // Per-try wait generously above a WAN round trip so healthy links do
-      // not see spurious duplicate decisions.
-      auto reply = home_.net().receive_reply(home_.id(), corr,
-                                             std::chrono::milliseconds(250));
-      if (reply) {
-        acked[i] = true;
-      } else {
-        all = false;
-      }
-    }
-    if (all) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  round("commit", Clock::time_point::max(), "retry.2pc.commit_retransmits");
 
   out.complete_latency_us = double(clock.elapsed_us());
   out.completed = true;
@@ -336,36 +229,35 @@ Result<DistOutcome> Coordinator::run_chopped(
   Stopwatch clock;
 
   // --- piece 1: a plain local transaction ----------------------------------
-  // Static pre-division gives each piece its share; dynamic distribution
-  // (Figure 2 over the wire) hands piece 1 the whole Limit_t and ships the
-  // measured leftover along with the continuation.
-  const Value first_budget =
-      spec.dynamic_epsilon
-          ? spec.piece_epsilon * static_cast<Value>(spec.pieces.size())
-          : spec.piece_epsilon;
-  Txn txn = home_.db().begin(spec.kind, spec_for(spec.kind, first_budget));
-  Status s = execute_ops(txn, spec.pieces[0].ops);
+  const auto limits = chain_limits(spec.kind, spec.limit, spec.policy,
+                                   spec.pieces.size());
+  Txn txn =
+      home_.db().begin(spec.kind, spec_for(spec.kind, limits->limit_for(0)));
+  Status s = run_ops(txn, spec.pieces[0].ops);
   if (!s.ok()) {
     txn.abort();
     dist_count(home_, "dist.chopped.aborted");
     return s;  // piece 1 may abort freely: nothing committed yet
   }
   if (spec.pieces.size() > 1) {
-    ChopContinuation cont;
+    CrossSiteContinuation cont;
     cont.gtid = gtid;
-    cont.dynamic_epsilon = spec.dynamic_epsilon;
-    // Leftover computed after the last op; a conflict charging this txn in
-    // the microscopic window before commit makes the shipped leftover a
-    // slight over-allowance, bounded by that one conflict's delta.
-    cont.piece_epsilon =
-        spec.dynamic_epsilon
-            ? std::max<Value>(0, first_budget - txn.fuzziness())
-            : spec.piece_epsilon;
-    cont.pieces = spec.pieces;
-    cont.next = 1;
     cont.origin = home_.id();
+    for (std::size_t p = 1; p < spec.pieces.size(); ++p) {
+      CrossSitePiece& hop = cont.pieces.emplace_back();
+      hop.site = spec.pieces[p].site;
+      for (const Access& a : spec.pieces[p].ops) {
+        hop.ops.push_back({std::uint8_t(a.type), a.item, a.delta});
+      }
+    }
+    cont.policy = std::uint8_t(spec.policy);
+    cont.limit = spec.limit;
+    // Z_1 measured after the last op; a conflict charging this txn in the
+    // microscopic window before commit makes the next piece's leftover a
+    // slight over-allowance, bounded by that one conflict's delta.
+    cont.done = {txn.fuzziness()};
     home_.queues().enqueue(txn, spec.pieces[1].site,
-                           chop_queue_for(spec.kind), encode_chop(cont));
+                           chop_queue_for(spec.kind), encode_cross_site(cont));
   }
   Status c = txn.commit();
   if (!c.ok()) {
@@ -382,14 +274,9 @@ Result<DistOutcome> Coordinator::run_chopped(
   dist_count(home_, "dist.chopped.started");
   dist_record(home_, "dist.chopped.client_us", out.client_latency_us);
 
-  if (spec.pieces.size() == 1) {
-    out.complete_latency_us = out.client_latency_us;
-    out.completed = true;
-    dist_count(home_, "dist.chopped.completed");
-    dist_record(home_, "dist.chopped.complete_us", out.complete_latency_us);
-    return out;
-  }
-  out.completed = home_.wait_done(gtid, completion_timeout);
+  // A single piece has no done notice to await: it is complete.
+  out.completed =
+      spec.pieces.size() == 1 || home_.wait_done(gtid, completion_timeout);
   out.complete_latency_us = double(clock.elapsed_us());
   if (out.completed) {
     dist_count(home_, "dist.chopped.completed");
@@ -426,45 +313,46 @@ void Coordinator::install_chop_handler(const std::vector<Site*>& sites) {
         txn.abort();
         return;  // consumed by a concurrent worker
       }
-      const std::optional<ChopContinuation> decoded = decode_chop(*payload);
-      assert(decoded.has_value() && decoded->next < decoded->pieces.size());
-      if (!decoded.has_value() || decoded->next >= decoded->pieces.size()) {
+      std::optional<CrossSiteContinuation> cont = decode_cross_site(*payload);
+      assert(cont.has_value() && cont->pieces[0].site == site.id());
+      if (!cont.has_value()) {
         txn.abort();  // poison message: consuming it would lose the chain
         return;
       }
-      const ChopContinuation* cont = &*decoded;
+      // Resume Limit_t's distribution as PieceRunner::resume does: replay
+      // the committed pieces' Z_p, then take this piece's limit.
+      const std::size_t piece = cont->done.size();
+      const auto limits = chain_limits(kind, cont->limit,
+                                       DistPolicy(cont->policy),
+                                       piece + cont->pieces.size());
+      for (std::size_t p = 0; p < piece; ++p) {
+        limits->report_committed(p, cont->done[p]);
+      }
       site.db().registry().set_spec(txn.id(),
-                                    spec_for(kind, cont->piece_epsilon));
-      Status s = execute_ops(txn, cont->pieces[cont->next].ops);
+                                    spec_for(kind, limits->limit_for(piece)));
+      std::vector<Access> ops;
+      for (const ContinuationOp& op : cont->pieces[0].ops) {
+        ops.push_back({AccessType(op.type), op.item, 0, op.delta});
+      }
+      Status s = run_ops(txn, ops);
       if (!s.ok()) {
         txn.abort();  // claim reverts; retry until commit (process handler)
         continue;
       }
-      if (cont->next + 1 < cont->pieces.size()) {
-        ChopContinuation next = *cont;
-        ++next.next;
-        if (next.dynamic_epsilon) {
-          // Figure 2 over the wire: forward this piece's leftover.
-          next.piece_epsilon =
-              std::max<Value>(0, next.piece_epsilon - txn.fuzziness());
-        }
-        const SiteId dest = next.pieces[next.next].site;
-        site.queues().enqueue(txn, dest, queue, encode_chop(next));
+      if (cont->pieces.size() > 1) {
+        cont->done.push_back(txn.fuzziness());
+        cont->pieces.erase(cont->pieces.begin());
+        site.queues().enqueue(txn, cont->pieces[0].site, queue,
+                              encode_cross_site(*cont));
       } else {
         site.queues().enqueue(txn, cont->origin, kDoneQueue,
                               encode_gtid(cont->gtid));
       }
-      Status c = txn.commit();
-      if (!c.ok()) {
-        // Crash-epoch guard tripped: the site crashed between our dequeue
-        // and this commit.  The staged writes are gone and -- crucially --
-        // the continuation was NOT forwarded (commit hooks never ran); the
-        // message is back in the durable queue for redelivery after
-        // recovery.  Committing blindly here used to forward the
-        // continuation for work that never happened, double-running every
-        // later piece.
-        return;
-      }
+      // A refused commit is the crash-epoch guard: the site crashed between
+      // our dequeue and this commit.  The staged writes are gone and the
+      // continuation was NOT forwarded (commit hooks never ran); the
+      // message is back in the durable queue for redelivery after recovery.
+      (void)txn.commit();
       return;
     }
   };

@@ -14,6 +14,11 @@
 //     asynchronously, retried by the process handler until they succeed,
 //     surviving site failures via the queues' durability.
 //
+// dist/ keeps only the routing: sites, queues, the done notice and 2PC.  A
+// piece's ops run through the engine's run_op, its import limit comes from
+// limits/, and a chopped chain travels as a wal/continuation payload
+// (CrossSiteContinuation) carrying only the pieces still to run.
+//
 // Subtransaction data operations execute by direct in-process calls to the
 // remote site's Database (generous to the 2PC baseline: it pays network
 // latency only for protocol rounds, never for data shipping).
@@ -29,6 +34,7 @@
 #include "chop/program.h"
 #include "common/status.h"
 #include "dist/site.h"
+#include "engine/method.h"
 
 namespace atp {
 
@@ -39,16 +45,14 @@ struct DistPieceSpec {
 
 struct DistTxnSpec {
   TxnKind kind = TxnKind::Update;
-  /// Per-piece eps budget: the paper pre-divides Limit_t across sites
-  /// (e.g. $10,000 split $5,000 + $5,000 in the NY/LA example).  It is live
-  /// only for a query chain, as each piece's import limit; update pieces
-  /// run serializable and are never charged (spec_for).
-  Value piece_epsilon = 0;
-  /// Dynamic distribution across the distributed chain (Figure 2 ported to
-  /// Section 4): piece 1 runs with the WHOLE budget `piece_epsilon *
-  /// pieces.size()`, and each continuation carries the measured leftover
-  /// `Limit - Z_p` to the next site.  Static pre-division when false.
-  bool dynamic_epsilon = false;
+  /// Limit_t, the whole transaction's import budget (the paper's $10,000 in
+  /// the NY/LA example).  limits/ distributes it over the pieces, each one
+  /// restricted.  It is live only for a query chain: update pieces run
+  /// serializable and are never charged (spec_for).
+  Value limit = 0;
+  /// Static splits `limit` evenly over the pieces; Dynamic (Figure 2) hands
+  /// piece 1 all of it and each committed piece's leftover to the next.
+  DistPolicy policy = DistPolicy::Static;
   /// Chain order; pieces[0] runs at the coordinator's home site.
   std::vector<DistPieceSpec> pieces;
 };
@@ -89,24 +93,6 @@ class Coordinator {
   Site& home_;
   std::vector<Site*> sites_;
 };
-
-/// Payload forwarded from piece to piece through the recoverable queues.
-struct ChopContinuation {
-  std::uint64_t gtid = 0;
-  Value piece_epsilon = 0;  ///< this piece's budget (leftover when dynamic)
-  bool dynamic_epsilon = false;
-  std::vector<DistPieceSpec> pieces;  ///< the full chain
-  std::size_t next = 0;               ///< index of the piece to run
-  SiteId origin = 0;                  ///< home site, for the done notice
-};
-
-/// Queue-payload codec: flat little-endian fixed-width bytes.  What travels
-/// through a recoverable queue is exactly what hits the WAL and the wire --
-/// no erased types anywhere on the durable path.
-[[nodiscard]] std::string encode_chop(const ChopContinuation& cont);
-/// nullopt on a truncated or malformed buffer.
-[[nodiscard]] std::optional<ChopContinuation> decode_chop(
-    std::string_view bytes);
 
 /// Done-notice payload: the gtid as 8 little-endian bytes.
 [[nodiscard]] std::string encode_gtid(std::uint64_t gtid);

@@ -163,8 +163,7 @@ std::vector<DistTxnSpec> to_dist_specs(
       }
       piece->ops.push_back(op);
     }
-    const std::size_t n = spec.pieces.empty() ? 1 : spec.pieces.size();
-    spec.piece_epsilon = type.epsilon_limit / static_cast<Value>(n);
+    spec.limit = type.epsilon_limit;
     specs.push_back(std::move(spec));
   }
   return specs;

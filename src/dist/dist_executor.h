@@ -55,8 +55,8 @@ class DistExecutor {
 
 /// Map a local Workload onto a site fleet: each instance's ops are grouped
 /// into per-site pieces by `site_of(key)`, in first-touch order, with the
-/// transaction's eps divided evenly across pieces (the paper's $10,000/2
-/// pre-division).
+/// transaction's eps as Limit_t under the static policy (limits/ splits it
+/// evenly across the pieces: the paper's $10,000/2 pre-division).
 [[nodiscard]] std::vector<DistTxnSpec> to_dist_specs(
     const Workload& workload, const std::function<SiteId(Key)>& site_of);
 

@@ -181,30 +181,31 @@ void Site::process_queue_message(const std::string& queue) {
 
   // Application queue: hand to a worker so a long (or lock-blocked) piece
   // never stalls 2PC participation.
-  QueueHandler handler;
   {
     std::lock_guard lock(mu_);
-    handler = queue_handler_;
-  }
-  if (!handler) return;
-  {
-    std::lock_guard lock(mu_);
-    pending_work_.push_back([this, handler, queue] { handler(*this, queue); });
+    if (!queue_handler_) return;
+    pending_work_.push_back([this, handler = queue_handler_, queue] {
+      handler(*this, queue);
+    });
   }
   work_cv_.notify_one();
 }
 
 void Site::handle(Message msg) {
+  // Answer `msg` with a `type` reply carrying `value`.
+  auto reply = [this, &msg](const char* type, Value value) {
+    Message r;
+    r.from = id_;
+    r.to = msg.from;
+    r.correlation = msg.id;
+    r.type = type;
+    r.gtid = msg.gtid;
+    r.value = value;
+    net_.send(std::move(r));
+  };
+
   if (msg.type == "prepare") {
-    const bool ok = prepare_subtransaction(msg.gtid);
-    Message vote;
-    vote.from = id_;
-    vote.to = msg.from;
-    vote.correlation = msg.id;
-    vote.type = "vote";
-    vote.gtid = msg.gtid;
-    vote.value = ok ? 1 : 0;
-    net_.send(std::move(vote));
+    reply("vote", prepare_subtransaction(msg.gtid) ? 1 : 0);
     return;
   }
 
@@ -226,13 +227,7 @@ void Site::handle(Message msg) {
       // Unknown gtid: the decision was already applied (retransmission);
       // ack idempotently.
     }
-    Message ack;
-    ack.from = id_;
-    ack.to = msg.from;
-    ack.correlation = msg.id;
-    ack.type = "ack";
-    ack.gtid = msg.gtid;
-    net_.send(std::move(ack));
+    reply("ack", 0);
     return;
   }
 
@@ -240,13 +235,7 @@ void Site::handle(Message msg) {
     // Global-validation round of the baseline protocol: confirm this site's
     // serialization order (trivially consistent here -- the round trip's
     // latency is what the comparison charges the baseline for).
-    Message ack;
-    ack.from = id_;
-    ack.to = msg.from;
-    ack.correlation = msg.id;
-    ack.type = "ack";
-    ack.gtid = msg.gtid;
-    net_.send(std::move(ack));
+    reply("ack", 0);
     return;
   }
 

@@ -23,6 +23,14 @@ namespace {
 
 }  // namespace
 
+std::unique_ptr<LimitDistributor> make_distributor(DistPolicy policy,
+                                                   const ChopPlanInfo& info) {
+  if (policy == DistPolicy::Dynamic) {
+    return std::make_unique<DynamicDistribution>(info);
+  }
+  return std::make_unique<StaticDistribution>(info);
+}
+
 std::string PieceRunner::continuation_payload(const TxnTypePlan& plan,
                                               const TxnInstance& instance) {
   Continuation& c = cont_scratch_;
@@ -50,13 +58,8 @@ struct PieceRunner::PieceOutcome {
 /// from sibling threads, and the distributor is not internally thread-safe,
 /// hence the mutex.
 struct PieceRunner::Tally {
-  Tally(DistPolicy policy, const ChopPlanInfo& info) {
-    if (policy == DistPolicy::Dynamic) {
-      distributor = std::make_unique<DynamicDistribution>(info);
-    } else {
-      distributor = std::make_unique<StaticDistribution>(info);
-    }
-  }
+  Tally(DistPolicy policy, const ChopPlanInfo& info)
+      : distributor(make_distributor(policy, info)) {}
 
   Value limit_for(std::size_t p) {
     std::lock_guard lock(mu);
@@ -127,27 +130,12 @@ PieceRunner::PieceOutcome PieceRunner::run_one_piece(
             op_delay_min_us_ +
             rng.uniform(op_delay_max_us_ - op_delay_min_us_ + 1)));
       }
-      const Access& op = instance.ops[i];
-      if (op.type == AccessType::Read) {
-        Result<Value> v = txn.read(op.item);
-        if (!v.ok()) {
-          failure = v.status();
-          break;
-        }
-        piece_reads += v.value();
-      } else if (op.type == AccessType::Add) {
-        Status s = txn.add(op.item, op.delta);
-        if (!s.ok()) {
-          failure = s;
-          break;
-        }
-      } else {
-        Status s = txn.write(op.item, op.delta);
-        if (!s.ok()) {
-          failure = s;
-          break;
-        }
+      Result<Value> v = run_op(txn, instance.ops[i]);
+      if (!v.ok()) {
+        failure = v.status();
+        break;
       }
+      piece_reads += v.value();
       // Programmed rollback statements live in piece 1 (rollback-safety);
       // taking one abandons the whole original transaction, no retries.
       if (p == 0 && instance.take_rollback &&

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "chop/program.h"
 #include "common/metrics.h"
@@ -34,6 +35,21 @@
 #include "wal/continuation.h"
 
 namespace atp {
+
+/// Run one op on an open transaction: the value a Read returns (0 for a
+/// mutation), or the failure.  The op dispatch of every piece, local
+/// (PieceRunner) or at a remote site (dist/coordinator.h).
+[[nodiscard]] inline Result<Value> run_op(Txn& txn, const Access& op) {
+  if (op.type == AccessType::Read) return txn.read(op.item);
+  Status s = op.type == AccessType::Add ? txn.add(op.item, op.delta)
+                                        : txn.write(op.item, op.delta);
+  if (!s.ok()) return s;
+  return Value{0};
+}
+
+/// The limit distributor `policy` names, for one execution of `info`.
+[[nodiscard]] std::unique_ptr<LimitDistributor> make_distributor(
+    DistPolicy policy, const ChopPlanInfo& info);
 
 struct TxnRunResult {
   /// All pieces committed.  False with rolled_back false: a piece hit the

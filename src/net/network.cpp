@@ -167,9 +167,10 @@ void SimNetwork::wake(SiteId site) {
 }
 
 std::optional<Message> SimNetwork::receive_reply(
-    SiteId site, std::uint64_t correlation, std::chrono::milliseconds timeout) {
-  return receive_matching(site, timeout, [correlation](const Message& m) {
-    return m.correlation == correlation;
+    SiteId site, std::chrono::milliseconds timeout,
+    const std::function<bool(const Message&)>& match) {
+  return receive_matching(site, timeout, [&match](const Message& m) {
+    return m.is_reply() && match(m);
   });
 }
 

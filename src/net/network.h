@@ -75,10 +75,18 @@ class SimNetwork {
   /// between its scan and its wait.
   void wake(SiteId site);
 
-  /// Next deliverable *reply* to request id `correlation` addressed to
-  /// `site`.  Other messages are left queued.
-  std::optional<Message> receive_reply(SiteId site, std::uint64_t correlation,
-                                       std::chrono::milliseconds timeout);
+  /// Next deliverable *reply* addressed to `site` that `match` accepts
+  /// (under the inbox lock, in inbox order, like receive_request_if's
+  /// claim).  Other messages are left queued.
+  std::optional<Message> receive_reply(
+      SiteId site, std::chrono::milliseconds timeout,
+      const std::function<bool(const Message&)>& match);
+
+  /// The longest round trip a healthy link takes: two one-way latencies,
+  /// each with its full jitter.
+  [[nodiscard]] std::chrono::microseconds max_round_trip() const noexcept {
+    return 2 * (options_.one_way_latency + options_.jitter);
+  }
 
   void set_site_up(SiteId site, bool up);
   [[nodiscard]] bool site_up(SiteId site) const;

@@ -54,7 +54,7 @@ class QueueEndpoint {
  public:
   QueueEndpoint(SiteId site, SimNetwork& net);
 
-  /// Stage `payload` (serialized bytes; see e.g. encode_chop) for queue
+  /// Stage `payload` (serialized bytes; see e.g. encode_cross_site) for queue
   /// `queue` at site `dest`, as part of `txn`'s effects: nothing is sent
   /// unless txn commits.
   void enqueue(Txn& txn, SiteId dest, std::string queue,

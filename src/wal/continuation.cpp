@@ -15,12 +15,24 @@ namespace {
 // bits 0-1 are the AccessType; bit 2 set means the delta is a whole number
 // stored as a zigzag varint, clear means 8 little-endian IEEE-754 bytes.
 // Every other tag bit must be clear.
+//
+// A cross-site continuation: varints gtid, origin and piece count, then per
+// piece its site and op count; a policy byte; Limit_t, a varint count of
+// committed pieces and each one's Z_p; then every piece's ops, in chain
+// order, as above.  A lone Value is a tag byte holding only bit 2, then the
+// number as an op's delta stores it.
 constexpr std::uint8_t kTypeMask = 0x3;
 constexpr std::uint8_t kWholeDelta = 0x4;
 /// AccessType::Write, the last access kind (chop/program.h).
 constexpr std::uint8_t kMaxOpType = 2;
+/// DistPolicy::Dynamic, the last distribution policy (engine/method.h).
+constexpr std::uint8_t kMaxPolicy = 1;
 /// Smallest encoded op: tag, one-byte item, one-byte whole delta.
 constexpr std::size_t kMinOpBytes = 3;
+/// Smallest encoded lone Value: tag and a one-byte whole number.
+constexpr std::size_t kMinValueBytes = 2;
+/// Smallest cross-site piece header: one-byte site and op count.
+constexpr std::size_t kMinPieceBytes = 2;
 
 void put_varint(std::string& out, std::uint64_t v) {
   while (v >= 0x80) {
@@ -33,6 +45,34 @@ void put_varint(std::string& out, std::uint64_t v) {
 /// Whole numbers a double represents exactly (|v| < 2^53).
 [[nodiscard]] bool is_whole(Value v) {
   return std::trunc(v) == v && std::fabs(v) < 9007199254740992.0;
+}
+
+/// `v` after a tag whose bit 2 says `whole`.
+void put_number(std::string& out, Value v, bool whole) {
+  if (whole) {
+    const auto d = std::int64_t(v);
+    put_varint(out, (std::uint64_t(d) << 1) ^ std::uint64_t(d >> 63));
+  } else {
+    char b[sizeof(Value)];
+    std::memcpy(b, &v, sizeof(Value));
+    if constexpr (std::endian::native == std::endian::big) {
+      std::reverse(b, b + sizeof(Value));
+    }
+    out.append(b, sizeof(Value));
+  }
+}
+
+void put_op(std::string& out, const ContinuationOp& op) {
+  const bool whole = is_whole(op.delta);
+  out.push_back(char(op.type | (whole ? kWholeDelta : 0)));
+  put_varint(out, op.item);
+  put_number(out, op.delta, whole);
+}
+
+void put_value(std::string& out, Value v) {
+  const bool whole = is_whole(v);
+  out.push_back(char(whole ? kWholeDelta : 0));
+  put_number(out, v, whole);
 }
 
 /// Bounds-checked reader over a payload; every get fails once the bytes
@@ -80,6 +120,30 @@ class Reader {
     return true;
   }
 
+  /// A number stored after a tag: a zigzag varint when `tag` has bit 2.
+  [[nodiscard]] bool number(std::uint8_t tag, Value& v) {
+    if ((tag & kWholeDelta) == 0) return raw_double(v);
+    std::uint64_t z;
+    if (!varint(z)) return false;
+    v = Value(std::int64_t(z >> 1) ^ -std::int64_t(z & 1));
+    return true;
+  }
+
+  [[nodiscard]] bool op(ContinuationOp& op) {
+    std::uint8_t tag;
+    if (!byte(tag) || (tag & ~(kTypeMask | kWholeDelta)) != 0 ||
+        (tag & kTypeMask) > kMaxOpType || !varint(op.item)) {
+      return false;
+    }
+    op.type = tag & kTypeMask;
+    return number(tag, op.delta);
+  }
+
+  [[nodiscard]] bool value(Value& v) {
+    std::uint8_t tag;
+    return byte(tag) && (tag & ~kWholeDelta) == 0 && number(tag, v);
+  }
+
   [[nodiscard]] std::size_t remaining() const {
     return bytes_.size() - pos_;
   }
@@ -108,22 +172,7 @@ std::string encode_continuation(const Continuation& c) {
   put_varint(out, c.piece_count);
   put_varint(out, c.first_op);
   put_varint(out, c.ops.size());
-  for (const ContinuationOp& op : c.ops) {
-    const bool whole = is_whole(op.delta);
-    out.push_back(char(op.type | (whole ? kWholeDelta : 0)));
-    put_varint(out, op.item);
-    if (whole) {
-      const auto d = std::int64_t(op.delta);
-      put_varint(out, (std::uint64_t(d) << 1) ^ std::uint64_t(d >> 63));
-    } else {
-      char b[sizeof(Value)];
-      std::memcpy(b, &op.delta, sizeof(Value));
-      if constexpr (std::endian::native == std::endian::big) {
-        std::reverse(b, b + sizeof(Value));
-      }
-      out.append(b, sizeof(Value));
-    }
-  }
+  for (const ContinuationOp& op : c.ops) put_op(out, op);
   return out;
 }
 
@@ -143,18 +192,62 @@ std::optional<Continuation> decode_continuation(std::string_view bytes) {
   }
   c.ops.resize(n);
   for (ContinuationOp& op : c.ops) {
-    std::uint8_t tag;
-    if (!in.byte(tag) || (tag & ~(kTypeMask | kWholeDelta)) != 0 ||
-        (tag & kTypeMask) > kMaxOpType || !in.varint(op.item)) {
-      return std::nullopt;
-    }
-    op.type = tag & kTypeMask;
-    if (tag & kWholeDelta) {
-      std::uint64_t z;
-      if (!in.varint(z)) return std::nullopt;
-      op.delta = Value(std::int64_t(z >> 1) ^ -std::int64_t(z & 1));
-    } else if (!in.raw_double(op.delta)) {
-      return std::nullopt;
+    if (!in.op(op)) return std::nullopt;
+  }
+  if (in.remaining() != 0) return std::nullopt;  // padded
+  return c;
+}
+
+std::string encode_cross_site(const CrossSiteContinuation& c) {
+  std::string out;
+  put_varint(out, c.gtid);
+  put_varint(out, c.origin);
+  put_varint(out, c.pieces.size());
+  for (const CrossSitePiece& p : c.pieces) {
+    put_varint(out, p.site);
+    put_varint(out, p.ops.size());
+  }
+  out.push_back(char(c.policy));
+  put_value(out, c.limit);
+  put_varint(out, c.done.size());
+  for (const Value z : c.done) put_value(out, z);
+  for (const CrossSitePiece& p : c.pieces) {
+    for (const ContinuationOp& op : p.ops) put_op(out, op);
+  }
+  return out;
+}
+
+std::optional<CrossSiteContinuation> decode_cross_site(
+    std::string_view bytes) {
+  Reader in(bytes);
+  CrossSiteContinuation c;
+  std::uint32_t n;
+  if (!in.varint(c.gtid) || !in.u32(c.origin) || !in.u32(n) || n == 0 ||
+      n > in.remaining() / kMinPieceBytes) {
+    return std::nullopt;
+  }
+  // The ops follow everything else, so all of them must fit in what is
+  // left after each piece's count.
+  std::uint64_t ops = 0;
+  c.pieces.resize(n);
+  for (CrossSitePiece& p : c.pieces) {
+    std::uint32_t k;
+    if (!in.u32(p.site) || !in.u32(k) || k == 0) return std::nullopt;
+    ops += k;
+    if (ops > in.remaining() / kMinOpBytes) return std::nullopt;
+    p.ops.resize(k);
+  }
+  if (!in.byte(c.policy) || c.policy > kMaxPolicy || !in.value(c.limit) ||
+      !in.u32(n) || n == 0 || n > in.remaining() / kMinValueBytes) {
+    return std::nullopt;
+  }
+  c.done.resize(n);
+  for (Value& z : c.done) {
+    if (!in.value(z)) return std::nullopt;
+  }
+  for (CrossSitePiece& p : c.pieces) {
+    for (ContinuationOp& op : p.ops) {
+      if (!in.op(op)) return std::nullopt;
     }
   }
   if (in.remaining() != 0) return std::nullopt;  // padded

@@ -25,6 +25,12 @@
 // holds it without a heap allocation.  decode_continuation must consume
 // exactly the payload's bytes, so a torn or padded payload is refused
 // instead of misparsed.
+//
+// A chain of pieces at different sites (dist/coordinator.h) keeps the same
+// promise with the same op records and rules: each hop forwards a
+// CrossSiteContinuation through a recoverable queue, naming the pieces
+// still to run, their sites, and the committed pieces' Z_p from which the
+// next hop resumes the limit distributor (as PieceRunner::resume does).
 #pragma once
 
 #include <cstdint>
@@ -67,6 +73,40 @@ struct Continuation {
 /// (fewer than two pieces, fewer ops than later pieces, an op type past
 /// AccessType's last value, a field past 32 bits).
 [[nodiscard]] std::optional<Continuation> decode_continuation(
+    std::string_view bytes);
+
+/// One piece of a cross-site chain still to run: its site and its ops.
+struct CrossSitePiece {
+  SiteId site = 0;
+  std::vector<ContinuationOp> ops;
+
+  friend bool operator==(const CrossSitePiece&,
+                         const CrossSitePiece&) = default;
+};
+
+/// The rest of a chopped transaction whose pieces run at different sites,
+/// as one hop hands it to the next.
+struct CrossSiteContinuation {
+  std::uint64_t gtid = 0;  ///< the distributed transaction
+  SiteId origin = 0;       ///< its home site, which awaits the done notice
+  /// The pieces still to run, in chain order; pieces[0] runs next.
+  std::vector<CrossSitePiece> pieces;
+  std::uint8_t policy = 0;  ///< the DistPolicy's underlying value
+  Value limit = 0;          ///< Limit_t, which the policy distributes
+  /// Z_p of every committed piece, piece 1 first.
+  std::vector<Value> done;
+
+  friend bool operator==(const CrossSiteContinuation&,
+                         const CrossSiteContinuation&) = default;
+};
+
+/// Serialize for a recoverable queue's payload.
+[[nodiscard]] std::string encode_cross_site(const CrossSiteContinuation& c);
+
+/// Parse a payload; nullopt when it is truncated, padded or out of range (no
+/// piece left, a piece without ops, no committed piece, an op type or a
+/// policy past its enum's last value, a count larger than the bytes left).
+[[nodiscard]] std::optional<CrossSiteContinuation> decode_cross_site(
     std::string_view bytes);
 
 /// A continuation whose original has not finished, as found in a log.

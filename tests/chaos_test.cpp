@@ -162,13 +162,13 @@ struct ChaosRig {
   std::vector<Site*> raw;
 };
 
-DistTxnSpec chain_spec(Value amount, Value piece_epsilon) {
+DistTxnSpec chain_spec(Value amount, Value limit) {
   // 3-piece chain 0 -> 1 -> 2: debit the home account, credit one account
   // at each remote hop.  Exercises multi-hop continuations, not just a
   // single queue edge.
   DistTxnSpec spec;
   spec.kind = TxnKind::Update;
-  spec.piece_epsilon = piece_epsilon;
+  spec.limit = limit;
   spec.pieces = {
       DistPieceSpec{0, {Access::add(kAccount0, -2 * amount, 2 * amount)}},
       DistPieceSpec{1, {Access::add(kAccount1, +amount, amount)}},
@@ -332,7 +332,7 @@ TEST_P(ChaosMatrix, ConservesMoneyAndBudgetsUnderFaults) {
   bool clients_ok = true;
   for (int i = 0; i < kTxns && clients_ok; ++i) {
     const Value amount = 1 + Value(amounts.uniform(5));
-    const DistTxnSpec spec = chain_spec(amount, /*piece_epsilon=*/100000);
+    const DistTxnSpec spec = chain_spec(amount, /*limit=*/300000);
     bool committed = false;
     for (std::uint64_t attempt = 0; attempt < 500 && !committed; ++attempt) {
       if (attempt > 0) {
@@ -596,7 +596,7 @@ TEST(Chaos, CrashBetweenDequeueAndCommitDoesNotDoubleRun) {
   ChaosRig rig(MethodConfig::method3(), none, 0xBEEF);
 
   Coordinator coord(*rig.raw[0], rig.raw);
-  auto out = coord.run_chopped(chain_spec(5, 100000), 0ms);
+  auto out = coord.run_chopped(chain_spec(5, /*limit=*/300000), 0ms);
   ASSERT_TRUE(out.ok());
   std::this_thread::sleep_for(5ms);  // let the chain reach site 1
   rig.sites[1]->crash();
@@ -608,6 +608,114 @@ TEST(Chaos, CrashBetweenDequeueAndCommitDoesNotDoubleRun) {
   EXPECT_EQ(total, 3 * kInitial);
   EXPECT_EQ(rig.balance(1, kAccount1), kInitial + 5);
   EXPECT_EQ(rig.balance(2, kAccount2), kInitial + 5);
+}
+
+/// Poll `holds` every millisecond for up to ten seconds.
+bool eventually(const std::function<bool()>& holds) {
+  for (int i = 0; i < 10000; ++i) {
+    if (holds()) return true;
+    std::this_thread::sleep_for(1ms);
+  }
+  return holds();
+}
+
+// Section 4's promise across sites, through a total loss: a two-site
+// transfer moves its money exactly once wherever the crash falls -- after
+// piece 1 commits, after the remote site logs the delivery, after the
+// remote piece commits, or after the done notice is delivered.  The crashed
+// site keeps only its durable log prefix and is rebuilt from it
+// (tear_to_durable, recover_from_wal, restore_from).
+TEST(Chaos, TwoSiteTransferMovesMoneyOnceThroughATotalLossAtEveryStep) {
+  enum Step { kPieceOneCommitted, kDeliveryLogged, kRemoteCommitted,
+              kDoneDelivered };
+  constexpr Value kAmount = 25;
+  for (const Step step : {kPieceOneCommitted, kDeliveryLogged,
+                          kRemoteCommitted, kDoneDelivered}) {
+    SCOPED_TRACE("step " + std::to_string(int(step)));
+    FaultSchedule none;
+    none.name = "none";
+    ChaosRig rig(MethodConfig::method3(), none, 0xD157 + std::uint64_t(step));
+    rig.torn = true;  // revive() rebuilds the site from its durable log
+    Site& ny = *rig.raw[0];
+    Site& la = *rig.raw[1];
+    auto crash = [&rig](SiteId s) {
+      rig.sites[s]->crash();
+      rig.wals[s].tear_to_durable();
+    };
+    DistTxnSpec spec;
+    spec.kind = TxnKind::Update;
+    spec.limit = 10000;
+    spec.pieces = {DistPieceSpec{0, {Access::add(kAccount0, -kAmount)}},
+                   DistPieceSpec{1, {Access::add(kAccount1, +kAmount)}}};
+    Coordinator coord(ny, rig.raw);
+
+    std::uint64_t gtid = 0;
+    if (step == kPieceOneCommitted) {
+      // The hop is lost on the way: only NY's log knows of it.
+      rig.net.set_link_up(0, 1, false);
+      auto out = coord.run_chopped(spec, 0ms);
+      ASSERT_TRUE(out.ok());
+      gtid = out.value().gtid;
+      ASSERT_EQ(la.queues().stats().delivered, 0u);
+      crash(0);
+      rig.revive(0);
+      rig.net.set_link_up(0, 1, true);
+    } else {
+      // A writer holding LA's account parks the remote piece on its lock
+      // after the delivery, until the step is reached.
+      Txn blocker = la.db().begin(TxnKind::Update, EpsilonSpec::unlimited());
+      ASSERT_TRUE(blocker.write(kAccount1, kInitial).ok());
+      auto out = coord.run_chopped(spec, 0ms);
+      ASSERT_TRUE(out.ok());
+      gtid = out.value().gtid;
+      // LA's ack is lost, so NY retransmits into LA's rebuilt endpoint,
+      // which must know the message from its log.
+      if (step == kDeliveryLogged) rig.net.set_site_up(0, false);
+      ASSERT_TRUE(eventually([&] { return la.queues().stats().delivered == 1; }));
+      if (step == kDeliveryLogged) {
+        ASSERT_EQ(la.queues().stats().consumed, 0u);
+        crash(1);
+        blocker.abort();
+        rig.revive(1);
+        rig.net.set_site_up(0, true);
+      } else {
+        // NY has its ack: from here only LA's log holds the hop.
+        ASSERT_TRUE(eventually([&] { return ny.queues().outbound_backlog() == 0; }));
+        if (step == kRemoteCommitted) rig.net.set_link_up(0, 1, false);
+        blocker.abort();
+        ASSERT_TRUE(eventually([&] { return la.queues().stats().consumed == 1; }));
+        if (step == kRemoteCommitted) {
+          // The done notice is lost on the way: only LA's log knows of it.
+          ASSERT_FALSE(ny.wait_done(gtid, 20ms));
+          crash(1);
+          rig.revive(1);
+          rig.net.set_link_up(0, 1, true);
+        } else {
+          ASSERT_TRUE(ny.wait_done(gtid, 10000ms));
+          crash(0);
+          rig.revive(0);
+        }
+      }
+    }
+
+    EXPECT_TRUE(ny.wait_done(gtid, 20000ms));
+    // Let every retransmission land before counting the money.
+    EXPECT_TRUE(eventually([&] {
+      return ny.queues().outbound_backlog() == 0 &&
+             la.queues().outbound_backlog() == 0;
+    }));
+    rig.stop_all();
+    EXPECT_EQ(rig.balance(0, kAccount0), kInitial - kAmount);
+    EXPECT_EQ(rig.balance(1, kAccount1), kInitial + kAmount);
+    // And each site's log replays to what it holds.
+    for (const auto& [s, key] : {std::pair{SiteId(0), kAccount0},
+                                 std::pair{SiteId(1), kAccount1}}) {
+      Store scratch;
+      (void)recover_from_log(rig.wals[s], scratch);
+      EXPECT_EQ(scratch.read_committed(key).value_or(-1), rig.balance(s, key))
+          << "site " << s;
+    }
+  }
 }
 
 // Theorem 1 across a crash, in the local engine: once piece 1 of a chopped

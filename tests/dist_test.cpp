@@ -54,10 +54,10 @@ class DistTest : public ::testing::Test {
     if (la_) la_->stop();
   }
 
-  DistTxnSpec transfer_spec(Value amount, Value piece_eps = 5000) {
+  DistTxnSpec transfer_spec(Value amount, Value limit = 10000) {
     DistTxnSpec spec;
     spec.kind = TxnKind::Update;
-    spec.piece_epsilon = piece_eps;
+    spec.limit = limit;
     spec.pieces = {
         DistPieceSpec{0, {Access::add(kX, -amount, amount)}},
         DistPieceSpec{1, {Access::add(kY, +amount, amount)}},
@@ -66,7 +66,7 @@ class DistTest : public ::testing::Test {
   }
 
   /// The import limit the remote (LA) piece of a two-piece query chain runs
-  /// with, at 50 per piece.  LA's 200 ms fsync keeps the piece's ET live in
+  /// with, at Limit_t = 100.  LA's 200 ms fsync keeps the piece's ET live in
   /// LA's registry while it commits; the limit is read off that entry (the
   /// handler begins it unlimited, then applies the shipped budget).
   Value remote_query_budget(bool dynamic) {
@@ -74,8 +74,8 @@ class DistTest : public ::testing::Test {
     start(std::chrono::microseconds(500), &la_wal_);
     DistTxnSpec query;
     query.kind = TxnKind::Query;
-    query.piece_epsilon = 50;
-    query.dynamic_epsilon = dynamic;
+    query.limit = 100;
+    query.policy = dynamic ? DistPolicy::Dynamic : DistPolicy::Static;
     query.pieces = {DistPieceSpec{0, {Access::read(kX)}},
                     DistPieceSpec{1, {Access::read(kY)}}};
     auto out = Coordinator(*ny_, sites_).run_chopped(query, 1ms);
@@ -168,7 +168,7 @@ TEST_F(DistTest, SinglePieceChoppedIsPurelyLocal) {
   Coordinator coord(*ny_, sites_);
   DistTxnSpec spec;
   spec.kind = TxnKind::Update;
-  spec.piece_epsilon = 0;
+  spec.limit = 0;
   spec.pieces = {DistPieceSpec{0, {Access::add(kX, -5, 5)}}};
   net_->reset_stats();
   auto out = coord.run_chopped(spec, 1000ms);
@@ -239,7 +239,7 @@ TEST_F(DistTest, ChainAcrossThreeHops) {
   Coordinator coord(*ny_, sites_);
   DistTxnSpec spec;
   spec.kind = TxnKind::Update;
-  spec.piece_epsilon = 1000;
+  spec.limit = 3000;
   spec.pieces = {
       DistPieceSpec{0, {Access::add(kX, -100, 100)}},
       DistPieceSpec{1, {Access::add(kY, +90, 90)}},
@@ -267,14 +267,15 @@ TEST_F(DistTest, ConcurrentChoppedTransfersAllComplete) {
 
 TEST_F(DistTest, DynamicEpsilonFlowsLeftoverDownTheChain) {
   // Distributed dynamic distribution (Figure 2 over the wire): piece 1 runs
-  // with the whole budget 2 x 50 and the continuation ships its leftover
-  // 100 - Z_1 to the remote piece.  Nothing moves at NY, so Z_1 = 0.
+  // with the whole Limit_t of 100 and the continuation ships Z_1, from
+  // which the remote hop's distributor derives the leftover 100 - Z_1.
+  // Nothing moves at NY, so Z_1 = 0.
   EXPECT_EQ(remote_query_budget(/*dynamic=*/true), 100);
 }
 
 TEST_F(DistTest, StaticEpsilonGivesEachPieceItsShare) {
-  // Static pre-division: the remote piece runs with its 50 share whatever
-  // piece 1 left over.
+  // Static pre-division: the remote piece runs with its 100 / 2 share
+  // whatever piece 1 left over.
   EXPECT_EQ(remote_query_budget(/*dynamic=*/false), 50);
 }
 
@@ -307,7 +308,7 @@ TEST_F(DistTest, DistributedDivergenceControlBoundsRemoteQueries) {
 
   DistTxnSpec query;
   query.kind = TxnKind::Query;
-  query.piece_epsilon = 5000;
+  query.limit = 10000;
   query.pieces = {
       DistPieceSpec{0, {Access::read(kX)}},
       DistPieceSpec{1, {Access::read(kY)}},

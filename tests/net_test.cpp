@@ -80,7 +80,8 @@ TEST(SimNetwork, RepliesAndRequestsAreSegregated) {
 
   // receive_request at site 0 must NOT surface the reply.
   EXPECT_FALSE(net.receive_request(0, 30ms).has_value());
-  auto r = net.receive_reply(0, corr, 100ms);
+  auto r = net.receive_reply(
+      0, 100ms, [corr](const Message& m) { return m.correlation == corr; });
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->type, "resp");
 }
@@ -97,10 +98,12 @@ TEST(SimNetwork, ReplyMatchingIsSelective) {
   net.send(std::move(r1));
   net.send(std::move(r2));
   // Ask for the second correlation first; the other stays queued.
-  auto b = net.receive_reply(0, 222, 100ms);
+  auto b = net.receive_reply(
+      0, 100ms, [](const Message& m) { return m.correlation == 222; });
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(b->type, "second");
-  auto a = net.receive_reply(0, 111, 100ms);
+  auto a = net.receive_reply(
+      0, 100ms, [](const Message& m) { return m.correlation == 111; });
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->type, "first");
 }

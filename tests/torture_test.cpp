@@ -82,7 +82,7 @@ TEST_P(QueueTortureTest, CrashStormPreservesExactlyOnce) {
     const Value amount = 1 + Value(rng.uniform(50));
     DistTxnSpec spec;
     spec.kind = TxnKind::Update;
-    spec.piece_epsilon = 1e9;
+    spec.limit = 2e9;
     spec.pieces = {DistPieceSpec{0, {Access::add(kX, -amount, amount)}},
                    DistPieceSpec{1, {Access::add(kY, +amount, amount)}}};
     auto out = coord.run_chopped(spec, 0ms);

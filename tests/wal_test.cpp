@@ -729,6 +729,21 @@ TxnId commit_piece(Database& db, TxnId continuation, std::uint32_t piece,
   return t.id();
 }
 
+/// A cross-site chain's payload after its first hop: two pieces left at
+/// sites 1 and 2, whole and fractional numbers, the dynamic policy.
+CrossSiteContinuation two_hops_left() {
+  CrossSiteContinuation c;
+  c.gtid = 7;
+  c.origin = 0;
+  c.pieces = {CrossSitePiece{1, {ContinuationOp{/*Add*/ 1, 11, 2.5},
+                                 ContinuationOp{/*Read*/ 0, 12, 0}}},
+              CrossSitePiece{2, {ContinuationOp{/*Write*/ 2, 1'019'999, -3}}}};
+  c.policy = 1;
+  c.limit = 10000;
+  c.done = {0.75};
+  return c;
+}
+
 TEST(Continuation, EncodingRoundTrips) {
   Continuation c = two_piece_continuation(42, 17.5);
   c.ops.push_back(ContinuationOp{/*Write*/ 2, 43, -3});
@@ -737,6 +752,30 @@ TEST(Continuation, EncodingRoundTrips) {
       decode_continuation(encode_continuation(c));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, c);
+
+  // The cross-site payload, at each hop of its chain.
+  CrossSiteContinuation chain = two_hops_left();
+  chain.gtid = 0x1234'5678'9abc;
+  chain.limit = kInfiniteLimit;
+  for (const CrossSiteContinuation& hop : {two_hops_left(), chain}) {
+    const std::optional<CrossSiteContinuation> hop_back =
+        decode_cross_site(encode_cross_site(hop));
+    ASSERT_TRUE(hop_back.has_value());
+    EXPECT_EQ(*hop_back, hop);
+  }
+  chain.done.push_back(-1);
+  chain.pieces.erase(chain.pieces.begin());
+  EXPECT_EQ(decode_cross_site(encode_cross_site(chain)), chain);
+  // A two-site transfer's one hop carries only what is left: LA's Add,
+  // Limit_t and piece 1's Z_p.
+  CrossSiteContinuation transfer;
+  transfer.gtid = 1;
+  transfer.pieces = {CrossSitePiece{1, {ContinuationOp{/*Add*/ 1, 2, 100}}}};
+  transfer.limit = 10000;
+  transfer.done = {0};
+  const std::string transfer_bytes = encode_cross_site(transfer);
+  EXPECT_EQ(transfer_bytes.size(), 17u);
+  EXPECT_EQ(decode_cross_site(transfer_bytes), transfer);
 }
 
 TEST(Continuation, ATransfersContinuationNeedsNoHeapAllocation) {
@@ -768,6 +807,43 @@ TEST(Continuation, TruncatedOrCorruptPayloadIsRejected) {
   Continuation one_piece = c;
   one_piece.piece_count = 1;
   EXPECT_FALSE(decode_continuation(encode_continuation(one_piece)));
+
+  // The cross-site payload: every strict prefix, and a padded one.
+  const CrossSiteContinuation hop = two_hops_left();
+  const std::string hop_bytes = encode_cross_site(hop);
+  for (std::size_t n = 0; n < hop_bytes.size(); ++n) {
+    EXPECT_FALSE(decode_cross_site(std::string_view(hop_bytes).substr(0, n)))
+        << "prefix of " << n << " bytes";
+  }
+  EXPECT_FALSE(decode_cross_site(hop_bytes + '\0'));
+  // An op type past AccessType::Write, and a policy past DistPolicy's last.
+  CrossSiteContinuation bad_hop = hop;
+  bad_hop.pieces[1].ops[0].type = 3;
+  EXPECT_FALSE(decode_cross_site(encode_cross_site(bad_hop)));
+  bad_hop = hop;
+  bad_hop.policy = 2;
+  EXPECT_FALSE(decode_cross_site(encode_cross_site(bad_hop)));
+  // A piece count, an op count or a done count larger than the bytes left.
+  // gtid, origin and every site and count here take one byte each.
+  const std::size_t kPieceCount = 2, kFirstOpCount = 4;
+  for (const std::size_t at : {kPieceCount, kFirstOpCount}) {
+    std::string huge = hop_bytes;
+    huge[at] = char(0x7f);
+    EXPECT_FALSE(decode_cross_site(huge)) << "count at byte " << at;
+  }
+  bad_hop = hop;
+  bad_hop.done.assign(0x7f, 0);
+  std::string huge_done = encode_cross_site(bad_hop);
+  huge_done.resize(huge_done.size() - 2 * 0x7e);  // one Z_p left of 127
+  EXPECT_FALSE(decode_cross_site(huge_done));
+  // No piece left, a piece without ops, no committed piece.
+  for (auto breaks : {+[](CrossSiteContinuation& c) { c.pieces.clear(); },
+                      +[](CrossSiteContinuation& c) { c.pieces[0].ops.clear(); },
+                      +[](CrossSiteContinuation& c) { c.done.clear(); }}) {
+    bad_hop = hop;
+    breaks(bad_hop);
+    EXPECT_FALSE(decode_cross_site(encode_cross_site(bad_hop)));
+  }
 
   // Recovery counts the bad payload and resumes nothing from it.
   LogDevice log;
